@@ -14,6 +14,7 @@ package sleepscale_test
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -22,6 +23,7 @@ import (
 
 	"sleepscale"
 	"sleepscale/internal/experiments"
+	"sleepscale/internal/metrics"
 	"sleepscale/internal/trace"
 )
 
@@ -220,6 +222,43 @@ func BenchmarkEngineThroughput(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+// BenchmarkSamplePercentile measures the statistics layer's order
+// statistics on the two sample sizes the system reads them at: n = 200, one
+// SleepScale candidate's bootstrap run in the daemon, and n = 243,861, the
+// responses of the whole 7-day trace. One op refills a reused Sample and
+// reads p95 then p99, which is what queue.Engine.FinishSummary pays per
+// run. allocs/op must stay at 0; CI enforces a budget on it.
+func BenchmarkSamplePercentile(b *testing.B) {
+	for _, n := range []int{200, 243861} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = rng.ExpFloat64()
+			}
+			s := metrics.NewSample(n)
+			fill := func() {
+				s.Reset()
+				for _, x := range xs {
+					s.Add(x)
+				}
+			}
+			fill()
+			_ = s.Percentile(95) // warm the scratch buffer
+			var sink float64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fill()
+				sink += s.Percentile(95) + s.Percentile(99)
+			}
+			if math.IsNaN(sink) {
+				b.Fatal("NaN percentile")
+			}
+		})
 	}
 }
 

@@ -3,7 +3,7 @@
 // allocs/op budget on the suite's steady-state path.
 //
 // CI runs it twice: once with the defaults for the policy-evaluation suite
-// (BENCH_selection.json, gating the Evaluator/Engine zero-allocation
+// (BENCH_selection.json, gating the Evaluator/Engine/Sample zero-allocation
 // contract) and once for the streaming workload subsystem —
 //
 //	go run ./cmd/benchsnap -bench 'StreamRunWeekTrace$|StreamSourceSteadyState$' \
@@ -95,11 +95,11 @@ func main() {
 	var floors floorFlag
 	flag.Var(&floors, "floor", "repeatable allocs/op ceiling for specific benchmarks, as regex=allocs (e.g. 'SelectParallel$=19')")
 	var (
-		bench        = flag.String("bench", "PolicyEvaluation$|PolicySelection$|PolicySelectionSerial$|SelectParallel$|EvaluatorSteadyState$|EngineThroughput$|FarmScaleOut|MultiCoreSimulate$", "benchmark regex passed to go test")
+		bench        = flag.String("bench", "PolicyEvaluation$|PolicySelection$|PolicySelectionSerial$|SelectParallel$|EvaluatorSteadyState$|EngineThroughput$|SamplePercentile$|FarmScaleOut|MultiCoreSimulate$", "benchmark regex passed to go test")
 		benchtime    = flag.String("benchtime", "5x", "benchtime passed to go test")
 		out          = flag.String("out", "BENCH_selection.json", "snapshot output path")
 		budget       = flag.Float64("budget", 0, "max allocs/op allowed on budgeted benchmarks")
-		budgetBench  = flag.String("budget-bench", "EvaluatorSteadyState|EngineThroughput", "regex of benchmarks the allocs/op budget applies to")
+		budgetBench  = flag.String("budget-bench", "EvaluatorSteadyState|EngineThroughput|SamplePercentile", "regex of benchmarks the allocs/op budget applies to")
 		baseline     = flag.String("baseline", "", "committed snapshot to gate regressions against; empty disables the gate")
 		maxNsRegress = flag.Float64("max-ns-regress", 0.25, "max fractional ns/op regression vs -baseline before failing")
 		gateBench    = flag.String("gate-bench", "", "regex of benchmarks the baseline ns/op gate applies to; empty gates all (allocs/op comparisons always apply)")

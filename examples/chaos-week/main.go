@@ -88,13 +88,13 @@ func main() {
 			Retry:         sleepscale.FaultRetryPolicy{Budget: 3, Backoff: 0.5},
 			Observer: func(fe sleepscale.FleetEpoch) {
 				// Quorum over the healthy set, degraded when the fleet is.
-				want := quorum
-				if fe.Active < want {
-					want = fe.Active
-				}
-				if fe.Shallow < want {
-					log.Fatalf("%s: epoch %d breaks quorum: %d shallow of %d active (down %d), want ≥ %d",
-						label, fe.Index, fe.Shallow, fe.Active, fe.Down, want)
+				// It is installed at the epoch boundary, and a duty-window
+				// server crashing mid-epoch is replaced only at the next
+				// one, so this epoch's crashes and repairs enter the check.
+				want := min(quorum, fe.Active+fe.Crashes-fe.Repairs)
+				if fe.Shallow+fe.Crashes < want {
+					log.Fatalf("%s: epoch %d breaks quorum: %d shallow of %d active (%d crashes, %d repairs, down %d), want ≥ %d at the boundary",
+						label, fe.Index, fe.Shallow, fe.Active, fe.Crashes, fe.Repairs, fe.Down, want)
 				}
 				if healthy := servers - fe.Down; healthy < minHealthy {
 					minHealthy = healthy

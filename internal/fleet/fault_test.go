@@ -303,6 +303,57 @@ func TestFaultRenewalDeterminism(t *testing.T) {
 	}
 }
 
+// TestQuorumInvariantUnderRenewalChaos checks the documented quorum
+// invariant at every epoch of the renewal chaos suite across seeds and
+// quorum widths. The quorum is installed at each epoch boundary, and a
+// duty-window server that crashes mid-epoch is replaced only at the next
+// one, so the close-time record must satisfy the crash-aware form
+// Shallow + Crashes ≥ min(Quorum, Active + Crashes − Repairs). The strict
+// form Shallow ≥ min(Quorum, Active) is tallied, not asserted: the suite
+// must show it failing, or it would not exercise mid-epoch crashes.
+func TestQuorumInvariantUnderRenewalChaos(t *testing.T) {
+	jobs := fleetJobs(360, 30, 10, 99)
+	var crashes, strictShort int
+	for _, quorum := range []int{1, 2, 3} {
+		for seed := int64(1); seed <= 12; seed++ {
+			ren, err := fault.NewRenewal(fault.RenewalConfig{
+				Servers: 6, MTBF: 4, MTTR: 1.5, Horizon: 12,
+			}, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := chaosConfig(farm.JSQ{}, ren, seed)
+			cfg.Quorum = quorum
+			cfg.Observer = func(fe Epoch) {
+				if want := min(quorum, fe.Active+fe.Crashes-fe.Repairs); fe.Shallow+fe.Crashes < want {
+					t.Fatalf("quorum %d seed %d epoch %d: %d shallow + %d crashes < %d (active %d, repairs %d)",
+						quorum, seed, fe.Index, fe.Shallow, fe.Crashes, want, fe.Active, fe.Repairs)
+				}
+				if fe.Shallow < min(quorum, fe.Active) {
+					strictShort++
+				}
+			}
+			coord, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := coord.Run(stream.Slice(jobs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkConservation(t, "renewal quorum", rep)
+			crashes += rep.Crashes
+		}
+	}
+	if crashes == 0 {
+		t.Fatal("renewal suite produced no crashes")
+	}
+	if strictShort == 0 {
+		t.Fatal("no epoch fell short of the strict quorum form: the suite never crashed a duty-window server mid-epoch")
+	}
+	t.Logf("%d crashes; %d close-time records short of the strict form, none of the crash-aware one", crashes, strictShort)
+}
+
 // TestFaultOutageExactEnergy pins exact energy accounting through a total
 // outage: a single-server fleet crashes mid-run and is repaired three
 // seconds later. The fully-down epoch must bill exactly zero energy and

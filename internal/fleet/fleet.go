@@ -93,7 +93,11 @@ type Epoch struct {
 	Active int
 	Parked int
 	// Shallow counts active servers whose installed plan is no deeper than
-	// C1 — the quorum invariant is Shallow ≥ min(Quorum, Active).
+	// C1. The coordinator installs the quorum at each epoch boundary, and a
+	// duty-window server that crashes mid-epoch is replaced only at the
+	// next one, so at every Observer call the quorum invariant is
+	// Shallow + Crashes ≥ min(Quorum, Active + Crashes − Repairs); without
+	// faults it reduces to Shallow ≥ min(Quorum, Active).
 	Shallow int
 	// Unparked counts servers woken this epoch, each paying a deep wake.
 	Unparked int

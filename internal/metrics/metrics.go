@@ -1,12 +1,15 @@
 // Package metrics provides the statistics plumbing shared by the SleepScale
 // simulators: streaming moments, exact sample percentiles, histograms and
-// weighted tallies. Everything is allocation-conscious because the policy
-// manager evaluates thousands of candidate policies per decision epoch.
+// weighted tallies. Everything is allocation-conscious and cheap per query
+// because the policy manager evaluates thousands of candidate policies per
+// decision epoch, each ending in a p95/p99 read: exact percentiles come from
+// O(n) expected selection in a reused scratch buffer, never from a sort.
 package metrics
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -133,15 +136,29 @@ func (s *Stream) String() string {
 // It keeps every observation; the SleepScale evaluator works with runs of
 // roughly 10⁴–10⁶ jobs, which fits comfortably in memory.
 //
-// Observations are stored in insertion order; order statistics (Percentile,
-// FractionAbove) are served from a lazily maintained sorted scratch copy, so
-// querying a percentile never disturbs insertion order. Reset and TrimFront
-// keep the underlying capacity, making a Sample reusable with zero
-// steady-state allocations.
+// Observations are stored in insertion order and are never reordered. Order
+// statistics (Percentile, PercentileNearestRank) are found by selection in a
+// scratch copy, not by sorting it: introselect, that is median-of-three
+// Hoare partitioning with a depth limit of 2·log₂ n past which only the
+// remaining subrange is sorted, so one query costs O(n) expected and
+// O(n log n) at worst. The copy stays partitioned around the last rank
+// selected, so a later query on an unchanged sample searches only the side
+// of that rank it needs: p99 after p95 scans just the tail above p95. Ranks
+// follow the order sort.Float64s sorts to, NaN first and then ascending, so
+// every percentile is the value a sorted copy would give (a tie between -0
+// and +0 may come back with either sign, as it may from the sort).
+// FractionAbove is one linear count over the observations. Reset, TrimFront
+// and TrimBack keep the underlying capacity, making a Sample reusable with
+// zero steady-state allocations.
 type Sample struct {
 	xs      []float64 // insertion order, never reordered
-	scratch []float64 // ascending copy, rebuilt lazily for order statistics
-	dirty   bool      // scratch is stale relative to xs
+	scratch []float64 // permutation of xs for selection, NaNs first
+	ready   bool      // scratch holds the current xs
+	nans    int       // scratch[:nans] are the NaNs
+	// pivot is the last rank selected: scratch[pivot] holds that order
+	// statistic, with nothing after it smaller and nothing before it
+	// larger. It is nans-1 before any selection.
+	pivot int
 	Stream
 }
 
@@ -153,7 +170,7 @@ func NewSample(n int) *Sample {
 // Add records one observation.
 func (s *Sample) Add(x float64) {
 	s.xs = append(s.xs, x)
-	s.dirty = true
+	s.ready = false
 	s.Stream.Add(x)
 }
 
@@ -161,7 +178,7 @@ func (s *Sample) Add(x float64) {
 func (s *Sample) Reset() {
 	s.xs = s.xs[:0]
 	s.scratch = s.scratch[:0]
-	s.dirty = false
+	s.ready = false
 	s.Stream = Stream{}
 }
 
@@ -177,7 +194,7 @@ func (s *Sample) TrimFront(n int) {
 		return
 	}
 	s.xs = s.xs[:copy(s.xs, s.xs[n:])]
-	s.dirty = true
+	s.ready = false
 	s.Stream = Stream{}
 	for _, x := range s.xs {
 		s.Stream.Add(x)
@@ -198,7 +215,7 @@ func (s *Sample) TrimBack(n int) {
 		return
 	}
 	s.xs = s.xs[:len(s.xs)-n]
-	s.dirty = true
+	s.ready = false
 	s.Stream = Stream{}
 	for _, x := range s.xs {
 		s.Stream.Add(x)
@@ -209,37 +226,30 @@ func (s *Sample) TrimBack(n int) {
 // internal storage; callers must not modify it.
 func (s *Sample) Values() []float64 { return s.xs }
 
-// sortedValues returns the ascending scratch copy, rebuilding it if stale.
-func (s *Sample) sortedValues() []float64 {
-	if s.dirty || len(s.scratch) != len(s.xs) {
-		s.scratch = append(s.scratch[:0], s.xs...)
-		sort.Float64s(s.scratch)
-		s.dirty = false
-	}
-	return s.scratch
-}
-
 // Percentile reports the p-th percentile (0 ≤ p ≤ 100) using linear
 // interpolation between closest ranks. It returns 0 for an empty sample.
 func (s *Sample) Percentile(p float64) float64 {
-	if len(s.xs) == 0 {
+	n := len(s.xs)
+	if n == 0 {
 		return 0
 	}
-	xs := s.sortedValues()
 	if p <= 0 {
-		return xs[0]
+		return s.orderStat(0)
 	}
 	if p >= 100 {
-		return xs[len(xs)-1]
+		return s.orderStat(n - 1)
 	}
-	rank := p / 100 * float64(len(xs)-1)
+	rank := p / 100 * float64(n-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
-		return xs[lo]
+		return s.orderStat(lo)
 	}
 	frac := rank - float64(lo)
-	return xs[lo]*(1-frac) + xs[hi]*frac
+	// Selecting lo first leaves hi = lo+1 as the minimum of the partition
+	// above it, which orderStat finds with one linear scan.
+	x := s.orderStat(lo)
+	return x*(1-frac) + s.orderStat(hi)*frac
 }
 
 // PercentileNearestRank reports the p-th percentile by the ceiling nearest-rank
@@ -250,7 +260,6 @@ func (s *Sample) PercentileNearestRank(p float64) float64 {
 	if n == 0 {
 		return 0
 	}
-	xs := s.sortedValues()
 	idx := int(math.Ceil(p/100*float64(n))) - 1
 	if idx < 0 {
 		idx = 0
@@ -258,19 +267,125 @@ func (s *Sample) PercentileNearestRank(p float64) float64 {
 	if idx >= n {
 		idx = n - 1
 	}
-	return xs[idx]
+	return s.orderStat(idx)
 }
 
-// FractionAbove reports the fraction of observations strictly greater than or
-// equal to x, i.e. the empirical Pr(X ≥ x).
+// FractionAbove reports the fraction of observations greater than or equal
+// to x, i.e. the empirical Pr(X ≥ x). NaN observations never count.
 func (s *Sample) FractionAbove(x float64) float64 {
 	if len(s.xs) == 0 {
 		return 0
 	}
-	xs := s.sortedValues()
-	// First index with value >= x.
-	i := sort.SearchFloat64s(xs, x)
-	return float64(len(xs)-i) / float64(len(xs))
+	c := 0
+	for _, v := range s.xs {
+		if v >= x {
+			c++
+		}
+	}
+	return float64(c) / float64(len(s.xs))
+}
+
+// orderStat returns the observation of 0-based rank k in sort.Float64s
+// order, selecting it in the scratch copy on the side of the last selected
+// rank that holds k.
+func (s *Sample) orderStat(k int) float64 {
+	if !s.ready {
+		s.load()
+	}
+	a := s.scratch
+	switch {
+	case k < s.nans: // the NaNs order first and are already in place
+	case k > s.pivot:
+		selectRank(a[s.pivot+1:], k-s.pivot-1)
+		s.pivot = k
+	case k < s.pivot:
+		selectRank(a[s.nans:s.pivot], k-s.nans)
+		s.pivot = k
+	}
+	return a[k]
+}
+
+// load copies the observations into the scratch buffer and moves the NaNs
+// to its front, so selection runs over NaN-free values with plain <.
+func (s *Sample) load() {
+	a := append(s.scratch[:0], s.xs...)
+	nans := 0
+	for i, x := range a {
+		if math.IsNaN(x) {
+			a[i], a[nans] = a[nans], x
+			nans++
+		}
+	}
+	s.scratch, s.nans, s.pivot, s.ready = a, nans, nans-1, true
+}
+
+// insertionMax is the longest subrange selectRank finishes by insertion sort.
+const insertionMax = 12
+
+// selectRank reorders a, which must hold no NaN, so that a[k] is the value an
+// ascending sort would put there, with no smaller value after it and no
+// larger one before it. It is introselect: median-of-three Hoare
+// partitioning narrows the subrange holding k, and after 2·log₂ len(a)
+// rounds the remaining subrange is sorted outright, bounding the worst case
+// at O(n log n). A k at the low end of the subrange, which is where the
+// upper rank of an interpolated percentile lands, is found by one linear
+// minimum scan instead.
+func selectRank(a []float64, k int) {
+	lo, hi := 0, len(a)-1
+	for limit := 2 * bits.Len(uint(len(a))); hi-lo >= insertionMax; limit-- {
+		switch {
+		case k == lo:
+			m := lo
+			for i := lo + 1; i <= hi; i++ {
+				if a[i] < a[m] {
+					m = i
+				}
+			}
+			a[lo], a[m] = a[m], a[lo]
+			return
+		case limit == 0:
+			sort.Float64s(a[lo : hi+1])
+			return
+		}
+		// Order a[lo] ≤ a[mid] ≤ a[hi]; the ends then stop both scans.
+		mid := int(uint(lo+hi) >> 1)
+		if a[mid] < a[lo] {
+			a[mid], a[lo] = a[lo], a[mid]
+		}
+		if a[hi] < a[mid] {
+			a[hi], a[mid] = a[mid], a[hi]
+			if a[mid] < a[lo] {
+				a[mid], a[lo] = a[lo], a[mid]
+			}
+		}
+		p := a[mid]
+		i, j := lo, hi
+		for {
+			for i++; a[i] < p; i++ {
+			}
+			for j--; p < a[j]; j-- {
+			}
+			if i >= j {
+				break
+			}
+			a[i], a[j] = a[j], a[i]
+		}
+		// Now a[lo..j] ≤ p ≤ a[j+1..hi], and when the scans met (i == j)
+		// a[j] == p already sits at its sorted rank.
+		switch {
+		case k > j:
+			lo = j + 1
+		case k == j && i == j:
+			return
+		default:
+			hi = j
+		}
+	}
+	for i := lo + 1; i <= hi; i++ {
+		for j := i; j > lo && a[j] < a[j-1]; j-- {
+			a[j], a[j-1] = a[j-1], a[j]
+		}
+	}
 }
 
 // WeightedTally accumulates time-weighted occupancy per named bucket, e.g.
