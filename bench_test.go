@@ -816,27 +816,47 @@ func BenchmarkFaultFailoverRouting(b *testing.B) {
 // (default) and off (LinearRouting). The two variants produce bit-identical
 // results — the equivalence suite asserts it — so the ns/op ratio is pure
 // routing cost. The indexed path must stay well ahead of linear here (the
-// acceptance bar is ≥5×); compare the two sub-benchmark timings.
+// acceptance bar is ≥5×); compare the two sub-benchmark timings. The -hetero
+// pair runs the same A/B on a sleep quorum's two configuration classes —
+// every fourth server capped to halt, the rest deep — which the index serves
+// as it serves a uniform farm.
 func BenchmarkFarmRoute10k(b *testing.B) {
+	shallowPol := sleepscale.Policy{Frequency: 1, Plan: sleepscale.SingleState(sleepscale.Halt)}
+	shallow, err := shallowPol.Config(sleepscale.Xeon(), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, tc := range []struct {
-		name string
-		opts sleepscale.FarmDispatchOptions
+		name   string
+		hetero bool
+		opts   sleepscale.FarmDispatchOptions
 	}{
-		{"indexed", sleepscale.FarmDispatchOptions{Parallel: true}},
-		{"linear", sleepscale.FarmDispatchOptions{Parallel: true, LinearRouting: true}},
+		{"indexed", false, sleepscale.FarmDispatchOptions{Parallel: true}},
+		{"linear", false, sleepscale.FarmDispatchOptions{Parallel: true, LinearRouting: true}},
+		{"indexed-hetero", true, sleepscale.FarmDispatchOptions{Parallel: true}},
+		{"linear-hetero", true, sleepscale.FarmDispatchOptions{Parallel: true, LinearRouting: true}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			f, src, cfg := farm10k(b, sleepscale.JSQ{})
+			reset := func() {
+				if err := f.Reset(cfg); err != nil {
+					b.Fatal(err)
+				}
+				for s := 0; tc.hetero && s < 10000; s += 4 {
+					if err := f.Server(s).SetConfigAt(0, shallow); err != nil {
+						b.Fatal(err)
+					}
+				}
+				src.Reset(1)
+			}
+			reset()
 			if _, err := f.ServeSourceSliced(src, tc.opts); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := f.Reset(cfg); err != nil {
-					b.Fatal(err)
-				}
-				src.Reset(1)
+				reset()
 				if _, err := f.ServeSourceSliced(src, tc.opts); err != nil {
 					b.Fatal(err)
 				}

@@ -261,8 +261,8 @@
 //     load-proportional line) and jobs per joule.
 //
 // Epochs serve through the farm's sliced driver between boundary switches
-// (heterogeneous configurations route through ConfigRouter pricing; the
-// active prefix serves as a Subfarm view), and with every dimension off
+// (heterogeneous configurations keep the O(log k) routing index, priced per
+// server; the active prefix serves as a Subfarm view), and with every dimension off
 // the coordinator is bit-identical to RunFarmEpochs — an equivalence suite
 // pins this across dispatchers, seeds and k up to 1,000. Fleet epoch and
 // per-server rollup logs write to the columnar store

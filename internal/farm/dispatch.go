@@ -35,12 +35,12 @@ type AnchoredRouter interface {
 // ConfigRouter is the heterogeneous-farm refinement of AnchoredRouter: a
 // dispatcher whose virtual routing prices each server from that server's own
 // configuration — cfgs[i] being engine i's live queue.Config — instead of
-// one shared operating configuration. The sliced driver switches to it when
-// a per-call scan finds the engines' configurations differ (the fleet
-// coordinator's per-server policies), so routing matches what Pick computes
-// against live engines even when every server runs a different (frequency,
-// sleep-plan) pair. With identical cfgs entries it must pick exactly as
-// RouteVirtualAnchored would.
+// one shared operating configuration. The sliced driver's linear arm always
+// routes a ConfigRouter through it, priced from its per-call snapshot of the
+// engines' configurations, so routing matches what Pick computes against
+// live engines even when every server runs a different (frequency,
+// sleep-plan) pair (the fleet coordinator's per-server policies). With
+// identical cfgs entries it must pick exactly as RouteVirtualAnchored would.
 type ConfigRouter interface {
 	RouteVirtualConfigs(cfgs []queue.Config, freeAt, anchor []float64, j queue.Job) int
 }
@@ -121,13 +121,15 @@ func (p *PowerOfD) Name() string { return fmt.Sprintf("pd%d", p.D) }
 // Pricing always follows the engines' live configurations wherever engines
 // (or the sliced driver's snapshot of them) are in reach: Pick reads each
 // engine directly, and ServeSourceSliced routes through the O(log k) index
-// or RouteVirtualConfigs, both priced from the live operating point — so the
-// parallel mode stays bit-identical to the sequential dispatch even when
-// SetConfigAt switches configurations between calls (the fleet coordinator's
-// epoch-boundary policy changes). Cfg prices only the standalone
-// RouteVirtual/RouteVirtualAnchored entry points, which have no engines to
-// consult; set it to the farm's operating configuration when calling those
-// directly. Idle pricing follows each server's actual idle anchor: Pick
+// or RouteVirtualConfigs, both pricing every server from its own entry of
+// the snapshot — so the parallel mode stays bit-identical to the sequential
+// dispatch when servers run different configurations (one index per
+// configuration class; a farm with more than ⌊√k⌋ classes takes the linear
+// scan) and when SetConfigAt switches configurations between calls (the
+// fleet coordinator's epoch-boundary policy changes). Cfg prices only the
+// standalone RouteVirtual/RouteVirtualAnchored entry points, which have no
+// engines to consult; set it to the farm's operating configuration when
+// calling those directly. Idle pricing follows each server's actual idle anchor: Pick
 // reads it from the engine, and the sliced driver carries an anchor shadow
 // alongside freeAt, so the first wake after a mid-run SetConfigAt during an
 // idle period is priced exactly (the anchor the switch moved is honored, not
@@ -221,6 +223,16 @@ func configsEqual(a, b *queue.Config) bool {
 	return true
 }
 
+// uniformConfigs reports whether every configuration equals the first.
+func uniformConfigs(cfgs []queue.Config) bool {
+	for s := 1; s < len(cfgs); s++ {
+		if !configsEqual(&cfgs[0], &cfgs[s]) {
+			return false
+		}
+	}
+	return true
+}
+
 // configFreeRouter reports whether the dispatcher's virtual routing consults
 // no configuration at all (pure backlog comparison), making it valid over a
 // heterogeneous farm as-is. Exact types, like newRouteIndexFor: a wrapper
@@ -259,9 +271,10 @@ type DispatchOptions struct {
 	// the serial reference on the submitting goroutine.
 	Workers int
 	// LinearRouting opts out of the O(log k) routing index and routes every
-	// job by the dispatcher's O(k) linear scan. Routing decisions are
-	// bit-identical either way (the equivalence suite pins it); the flag
-	// exists for A/B comparison and as an escape hatch.
+	// job by the dispatcher's O(k) linear scan, on homogeneous and
+	// per-server-configured farms alike. Routing decisions are bit-identical
+	// either way (the equivalence suites pin it); the flag exists for A/B
+	// comparison and as an escape hatch.
 	LinearRouting bool
 }
 
@@ -343,11 +356,10 @@ type slicedState struct {
 	// shadow, built on first use (the farm's dispatcher never changes) and
 	// rebuilt per call; nil when the dispatcher has none.
 	idx routeIndex
-	// cfgs is the per-server configuration snapshot of a ConfigRouter call:
-	// routing and the shadow advance price each server from its own entry.
-	// Populated when the per-call uniformity scan finds differing engine
-	// configurations, or with the shared configuration when a ConfigRouter
-	// routes a uniform farm on the linear path.
+	// cfgs is the per-call snapshot of every engine's configuration, taken
+	// for each virtual-routed call: the routing index, a ConfigRouter's
+	// linear scan and the shadow advance price each server from its own
+	// entry.
 	cfgs []queue.Config
 	// ord maps bucket positions back to slice positions (ord[offsets[s]+i]
 	// is the slice index of server s's i-th job), computed only while
@@ -441,7 +453,10 @@ func (f *Farm) sliced(sliceJobs int) *slicedState {
 // Engine.Process bit for bit, every routing decision equals the one the
 // sequential ServeSource would make, and each engine sees the same jobs in
 // the same order: results are bit-identical to the sequential dispatch for
-// every slice size and pool size.
+// every slice size and pool size. JSQ and LeastWorkLeft route through the
+// O(log k) index whether the servers share one configuration or run their
+// own (see LeastWorkLeft for its class limit); a non-finite job ends the
+// call with queue.ErrNonFinite after the jobs ahead of it are served.
 //
 // All slicing scratch is farm-owned and reused, so after the first call a
 // Reset + ServeSourceSliced cycle allocates nothing. Deferred source errors
@@ -472,59 +487,34 @@ func (f *Farm) ServeSourceSliced(src queue.JobSource, opts DispatchOptions) (int
 		sl.errs[s] = nil
 	}
 	pool := par.Default()
-	// The shadow recursion prices service and wake-ups from the engines'
-	// configuration; ServeSourceSliced never switches it mid-run. A
-	// homogeneous farm (the overwhelmingly common case, and the only one the
-	// routing index supports) shares server 0's; when the per-call scan finds
-	// the engines disagree — per-server fleet policies — routing falls back
-	// to the linear scans with a per-server configuration snapshot.
-	cfg := f.engines[0].Config()
-	uniform := true
+	// The shadow recursion prices service and wake-ups from a per-call
+	// snapshot of every engine's configuration; ServeSourceSliced never
+	// switches one mid-run. The routing index and the linear arm both price
+	// server s from its own entry, so a homogeneous farm and a fleet with
+	// per-server policies take the same path. Only a dispatcher that reads
+	// no configuration (JSQ, PowerOfD) or implements ConfigRouter can
+	// virtual-route a farm whose entries differ.
 	if isVR && !isPre {
-		for _, eng := range f.engines[1:] {
-			ec := eng.Config()
-			if !configsEqual(&cfg, &ec) {
-				uniform = false
-				break
-			}
+		if cap(sl.cfgs) < k {
+			sl.cfgs = make([]queue.Config, k)
 		}
-		if !uniform {
-			if _, isCR := f.disp.(ConfigRouter); !isCR && !configFreeRouter(f.disp) {
-				return 0, fmt.Errorf("farm: dispatcher %s cannot virtual-route a farm with per-server configurations (implement ConfigRouter or serve sequentially)", f.disp.Name())
-			}
-			if cap(sl.cfgs) < k {
-				sl.cfgs = make([]queue.Config, k)
-			}
-			sl.cfgs = sl.cfgs[:k]
-			for s, eng := range f.engines {
-				sl.cfgs[s] = eng.Config()
-			}
+		sl.cfgs = sl.cfgs[:k]
+		for s, eng := range f.engines {
+			sl.cfgs[s] = eng.Config()
+		}
+		if _, isCR := f.disp.(ConfigRouter); !isCR && !configFreeRouter(f.disp) && !uniformConfigs(sl.cfgs) {
+			return 0, fmt.Errorf("farm: dispatcher %s cannot virtual-route a farm with per-server configurations (implement ConfigRouter or serve sequentially)", f.disp.Name())
 		}
 	}
 	ar, isAnchored := f.disp.(AnchoredRouter)
 	cr, isCR := f.disp.(ConfigRouter)
 	var ridx routeIndex
-	if uniform && isVR && !isPre && !opts.LinearRouting {
+	if isVR && !isPre && !opts.LinearRouting {
 		if sl.idx == nil {
 			sl.idx = newRouteIndexFor(f.disp, sl.freeAt, sl.anchor)
 		}
-		if sl.idx != nil {
-			sl.idx.reset(cfg)
+		if sl.idx != nil && sl.idx.reset(sl.cfgs) {
 			ridx = sl.idx
-		}
-	}
-	// A ConfigRouter on the uniform linear path prices from the engines' live
-	// configuration too: fill the snapshot with the shared cfg so routing
-	// matches Pick (and the index) even when the dispatcher's own pricing
-	// field is stale or zero — the fleet coordinator switches the operating
-	// point every epoch and never updates dispatcher state.
-	if uniform && isVR && !isPre && isCR && ridx == nil {
-		if cap(sl.cfgs) < k {
-			sl.cfgs = make([]queue.Config, k)
-		}
-		sl.cfgs = sl.cfgs[:k]
-		for s := range sl.cfgs {
-			sl.cfgs[s] = cfg
 		}
 	}
 	f.recBase = 0
@@ -532,11 +522,19 @@ func (f *Farm) ServeSourceSliced(src queue.JobSource, opts DispatchOptions) (int
 
 	served := 0
 	for {
-		// Fill the next slice from the chunk cursor.
+		// Fill the next slice from the chunk cursor. A non-finite job would
+		// poison the shadow (and the index's tree keys), so the slice ends
+		// before it: the jobs ahead of it are served, then it is rejected as
+		// Engine.Process would reject it.
 		slice := sl.slice[:0]
+		var bad error
 		for len(slice) < sliceJobs {
 			j, ok := sl.cursor.Peek()
 			if !ok {
+				break
+			}
+			if !j.Finite() {
+				bad = fmt.Errorf("farm: job %d: %w: arrival %g, size %g", f.recBase+len(slice), queue.ErrNonFinite, j.Arrival, j.Size)
 				break
 			}
 			slice = append(slice, j)
@@ -544,7 +542,7 @@ func (f *Farm) ServeSourceSliced(src queue.JobSource, opts DispatchOptions) (int
 		}
 		sl.slice = slice
 		if len(slice) == 0 {
-			return served, nil
+			return served, bad
 		}
 
 		// Route the slice serially: this is the dispatch-forced
@@ -558,26 +556,13 @@ func (f *Farm) ServeSourceSliced(src queue.JobSource, opts DispatchOptions) (int
 			for i := range slice {
 				assign[i] = ridx.route(slice[i])
 			}
-		case !uniform:
-			// Heterogeneous: route and advance the shadow per-server from
-			// the configuration snapshot, so pricing matches each engine's
-			// live policy exactly.
-			for i := range slice {
-				if isCR {
-					assign[i] = cr.RouteVirtualConfigs(sl.cfgs, sl.freeAt, sl.anchor, slice[i])
-				} else {
-					assign[i] = vr.RouteVirtual(sl.freeAt, slice[i])
-				}
-				if s := assign[i]; s >= 0 && s < k {
-					nf := sl.cfgs[s].NextFreeAtAnchored(sl.freeAt[s], sl.anchor[s], slice[i])
-					sl.freeAt[s], sl.anchor[s] = nf, nf
-				}
-			}
 		default:
+			// The linear reference: LinearRouting, PowerOfD, dispatchers
+			// without an index, and farms too diverse for it. A ConfigRouter
+			// prices from the snapshot, identical to the indexed path.
 			for i := range slice {
 				switch {
 				case isCR:
-					// Live-config pricing, identical to the indexed path.
 					assign[i] = cr.RouteVirtualConfigs(sl.cfgs, sl.freeAt, sl.anchor, slice[i])
 				case isAnchored:
 					assign[i] = ar.RouteVirtualAnchored(sl.freeAt, sl.anchor, slice[i])
@@ -585,7 +570,7 @@ func (f *Farm) ServeSourceSliced(src queue.JobSource, opts DispatchOptions) (int
 					assign[i] = vr.RouteVirtual(sl.freeAt, slice[i])
 				}
 				if s := assign[i]; s >= 0 && s < k {
-					nf := cfg.NextFreeAtAnchored(sl.freeAt[s], sl.anchor[s], slice[i])
+					nf := sl.cfgs[s].NextFreeAtAnchored(sl.freeAt[s], sl.anchor[s], slice[i])
 					sl.freeAt[s], sl.anchor[s] = nf, nf
 				}
 			}
@@ -636,6 +621,9 @@ func (f *Farm) ServeSourceSliced(src queue.JobSource, opts DispatchOptions) (int
 				return served, err
 			}
 		}
+		if bad != nil {
+			return served, bad
+		}
 		// Resynchronize the shadow from the engines — they agree bit for
 		// bit with the NextFreeAtAnchored recursion, so this only re-anchors
 		// the next slice's routing on the authoritative engine arithmetic.
@@ -651,8 +639,8 @@ func (f *Farm) ServeSourceSliced(src queue.JobSource, opts DispatchOptions) (int
 					dirty = true
 				}
 			}
-			if dirty && ridx != nil {
-				ridx.reset(cfg)
+			if dirty && ridx != nil && !ridx.reset(sl.cfgs) {
+				ridx = nil
 			}
 		}
 	}

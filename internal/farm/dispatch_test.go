@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -618,6 +619,40 @@ func TestServeSourceSlicedHeterogeneousRejectsUnawareRouter(t *testing.T) {
 	}
 	if _, err := hom.ServeSourceSliced(&sliceSource{jobs: jobs}, DispatchOptions{}); err != nil {
 		t.Fatalf("homogeneous farm rejected: %v", err)
+	}
+}
+
+// TestSlicedDispatchRejectsNonFiniteArrival: a NaN arrival mid-stream must
+// surface as queue.ErrNonFinite from every dispatch path — sequential,
+// indexed and linear — without reaching the shadow or the routing index,
+// after exactly the jobs ahead of it have been served.
+func TestSlicedDispatchRejectsNonFiniteArrival(t *testing.T) {
+	jobs := expJobs(3000, 40, 5, 21)
+	const bad = 1234 // inside a slice, not on a boundary
+	jobs[bad].Arrival = math.NaN()
+	for _, d := range indexedDispatchers(deepCfg()) {
+		for _, opts := range []DispatchOptions{
+			{},
+			{Parallel: true, SliceJobs: 500},
+			{Parallel: true, SliceJobs: 500, LinearRouting: true},
+		} {
+			f, err := New(16, deepCfg(), d.mk())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var n int
+			if opts.Parallel {
+				n, err = f.ServeSourceSliced(&sliceSource{jobs: jobs}, opts)
+			} else {
+				n, err = f.ServeSource(&sliceSource{jobs: jobs})
+			}
+			if !errors.Is(err, queue.ErrNonFinite) {
+				t.Errorf("%s %+v: err = %v, want ErrNonFinite", d.name, opts, err)
+			}
+			if n != bad {
+				t.Errorf("%s %+v: served %d jobs before the NaN arrival, want %d", d.name, opts, n, bad)
+			}
+		}
 	}
 }
 

@@ -66,7 +66,8 @@
 // tournament tree over (freeAt, index) with a leftmost-at-most descent for
 // the all-idle case; LeastWorkLeft adds per-phase idle bitsets and a
 // crossing heap so sleep-state wake pricing stays exact while only O(log k)
-// state updates per decision are paid. The index is an implementation
+// state updates per decision are paid. The index serves heterogeneous farms
+// too (see below). The index is an implementation
 // detail with a hard bit-identity contract — every decision equals the
 // linear scan's, tie-breaks included — pinned by an equivalence suite up to
 // k = 10,000 and benchmarked (indexed vs linear) in BenchmarkFarmRoute10k;
@@ -106,14 +107,23 @@
 // The sliced driver also serves fleets whose servers run different
 // configurations — the substrate of the fleet coordinator
 // (internal/fleet). Farm.Server exposes each engine for per-server
-// SetConfigAt/WakeAt at epoch boundaries; the per-call uniformity scan
-// notices differing configurations and routes through per-server shadow
-// arithmetic, with ConfigRouter (implemented by LeastWorkLeft,
-// RouteVirtualConfigs) pricing each candidate under that server's own
-// phase schedule. Pricing is always live: the routing index and both
-// linear arms price from the engines' current configurations exactly as
-// the sequential Pick does, so a dispatcher's static Cfg field is never
-// consulted inside the driver and mid-run switches reprice immediately.
+// SetConfigAt/WakeAt at epoch boundaries. Every sliced call snapshots each
+// engine's configuration, and all routing prices server s from its own
+// entry, so a homogeneous farm is just the case where the entries agree.
+// The O(log k) index keeps serving when they differ: JSQ decides on freeAt
+// alone and needs the server's configuration only to advance its shadow;
+// LeastWorkLeft splits the servers into classes of equal configuration — a
+// sleep quorum gives two, parking a third — indexes each class on its own,
+// and takes the earliest (completion, index) pair over the class winners,
+// the linear scan's tie rule. Past ⌊√k⌋ classes (nearly every server on its
+// own policy) the per-call partition would approach O(k²) work, so the
+// driver routes through ConfigRouter's RouteVirtualConfigs instead. The
+// linear arm, which DispatchOptions.LinearRouting selects, remains the
+// reference. Pricing is
+// always live: the index and the linear arm price from the engines' current
+// configurations exactly as the sequential Pick does, so a dispatcher's
+// static Cfg field is never consulted inside the driver and mid-run switches
+// reprice immediately.
 // Farm.Subfarm returns a prefix view sharing the parent's engines and
 // scratch, so a coordinator can serve a shrunken active set without
 // rebuilding state — parked suffix servers keep accruing sleep residency

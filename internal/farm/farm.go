@@ -197,7 +197,7 @@ func (f *Farm) Subfarm(n int) (*Farm, error) {
 // idx ascending, every dispatcher's lowest-index tie break resolves to the
 // lowest surviving parent index: routing through the view is exactly the
 // parent's routing with the excluded servers skipped, on the O(log k) index
-// and both linear arms alike.
+// and the linear arm alike.
 //
 // Pass the previous return value as view to reuse its storage (including the
 // sliced-dispatch scratch, which resizes in place when the subset size

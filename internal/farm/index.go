@@ -20,6 +20,8 @@ import (
 //     no idle server the winner is the minimum (freeAt, index) pair. A
 //     tournament tree over freeAt serves both: a leftmost-descent for the
 //     lowest-index leaf with key ≤ t, the root winner for the busy minimum.
+//     No configuration enters the decision, so a farm whose servers run
+//     different configurations needs them only for the shadow commit.
 //
 //   - Least-work-left picks the earliest completion of the arriving job.
 //     Busy servers (freeAt ≥ t) complete at freeAt + svc — the same
@@ -29,20 +31,29 @@ import (
 //     one phase bucket tie, so the lowest index per bucket is the only
 //     candidate, held in a two-level bitset per bucket. Servers migrate
 //     between buckets at anchor + EnterAfter boundaries, tracked by a lazy
-//     min-heap of crossings invalidated by per-server generations.
+//     min-heap of crossings invalidated by per-server generations. Service
+//     and wake pricing depend on the configuration, so servers are split into
+//     configuration classes, each indexed on its own, and the class winners
+//     are compared by (done, index).
 //
 // Every floating-point expression below mirrors the corresponding linear-scan
 // expression operation for operation (the equivalence suite in index_test.go
-// pins this across seeds, dispatchers and fleet sizes).
+// pins this across seeds, dispatchers, fleet sizes and configuration mixes).
 
 // routeIndex is the O(log k) routing core the sliced driver consults. route
 // both decides the server for j and commits the shadow advance — it writes
 // the new freeAt/anchor through the driver's shadow slices, so the
 // post-barrier engine resync still compares clean. reset rebuilds from the
 // shadow (after Farm.Reset, a new stream, or a resync mismatch); jobs within
-// one run must arrive in non-decreasing order, as everywhere else.
+// one run must arrive in non-decreasing order and be finite, as everywhere
+// else.
 type routeIndex interface {
-	reset(engCfg queue.Config)
+	// reset rebuilds the index from the shadow, pricing server s from
+	// cfgs[s] — the driver's per-call snapshot of the engines' live
+	// configurations, aliased until the next reset. It reports false when
+	// the configurations fall into more classes than the index takes on
+	// (see maxClasses); the driver then routes linearly.
+	reset(cfgs []queue.Config) bool
 	route(j queue.Job) int
 	// rebind re-aliases the index to new shadow slices after the driver
 	// resized them (a Select view's server count changed); the caller must
@@ -64,7 +75,7 @@ func newRouteIndexFor(disp Dispatcher, freeAt, anchor []float64) routeIndex {
 	case *JSQ:
 		return &jsqIndex{freeAt: freeAt, anchor: anchor}
 	case *LeastWorkLeft:
-		return &lwlIndex{freeAt: freeAt, anchor: anchor}
+		return &lwlClasses{freeAt: freeAt, anchor: anchor}
 	}
 	return nil
 }
@@ -160,11 +171,13 @@ func (t *minTree) leftmostLE(bound float64) int {
 
 // jsqIndex indexes JSQ routing: leftmostLE(t) when any server is idle (all
 // idle servers tie at backlog zero, linear scan keeps the first), the tree
-// minimum otherwise (backlog freeAt−t orders as freeAt).
+// minimum otherwise (backlog freeAt−t orders as freeAt). The decision reads
+// no configuration; the picked server's shadow advances under its own
+// snapshot entry, so one index serves homogeneous and per-server farms alike.
 type jsqIndex struct {
 	freeAt []float64 // the driver's shadow, written through
 	anchor []float64
-	engCfg queue.Config
+	cfgs   []queue.Config // per-server pricing of the shadow commit
 	tree   minTree
 }
 
@@ -172,11 +185,12 @@ func (x *jsqIndex) rebind(freeAt, anchor []float64) {
 	x.freeAt, x.anchor = freeAt, anchor
 }
 
-func (x *jsqIndex) reset(engCfg queue.Config) {
-	x.engCfg = engCfg
+func (x *jsqIndex) reset(cfgs []queue.Config) bool {
+	x.cfgs = cfgs
 	x.tree.init(len(x.freeAt))
 	copy(x.tree.key, x.freeAt)
 	x.tree.build()
+	return true
 }
 
 func (x *jsqIndex) route(j queue.Job) int {
@@ -184,7 +198,7 @@ func (x *jsqIndex) route(j queue.Job) int {
 	if s < 0 {
 		s = x.tree.min()
 	}
-	nf := x.engCfg.NextFreeAtAnchored(x.freeAt[s], x.anchor[s], j)
+	nf := x.cfgs[s].NextFreeAtAnchored(x.freeAt[s], x.anchor[s], j)
 	x.freeAt[s], x.anchor[s] = nf, nf
 	x.tree.key[s] = nf
 	x.tree.update(s)
@@ -239,79 +253,162 @@ func (b *bucketBits) lowestSet() int {
 	return -1
 }
 
-// crossing schedules idle server s to migrate into phase bucket b at time t.
-// Entries are invalidated lazily: gen must still match the server's when the
-// crossing fires, otherwise the server went busy in the meantime.
+// crossing schedules the idle server at a class's leaf to migrate into phase
+// bucket b at time t. Entries are invalidated lazily: gen must still match the
+// leaf's when the crossing fires, otherwise the server went busy in the
+// meantime.
 type crossing struct {
-	t   float64
-	s   int32
-	b   int32
-	gen uint32
+	t    float64
+	leaf int32
+	b    int32
+	gen  uint32
 }
 
-// lwlIndex indexes least-work-left routing. Busy servers live in a minTree
-// keyed by freeAt (idle keys +Inf, extracted lazily as t passes freeAt);
-// idle servers live in one bitset per wake-pricing bucket — bucket 0 is the
-// pre-sleep window (wake 0), bucket p+1 is price.Phases[p] — migrating at
-// anchor+EnterAfter boundaries via the crossing heap. The candidates at
-// arrival t are the busy minimum (done = freeAt + svc) and each non-empty
-// bucket's lowest index (done = (t + wake) + svc), compared by (done, index)
-// exactly as the linear scan's strict-less loop resolves them.
+// maxClasses is the most configuration classes the least-work-left index
+// takes on for a k-server farm: ⌊√k⌋. Each decision visits every class, so
+// C classes cost O(C·phases + log k) per job against the linear scan's Θ(k),
+// and partitioning costs O(k·C) per serve call. The cap keeps the first
+// at O(√k·phases) and bounds the second by the cost of routing √k jobs
+// linearly; a fleet past it — servers nearly all on distinct policies —
+// routes by the linear scan. A uniform farm is one class for every k.
+func maxClasses(k int) int {
+	c := 1
+	for (c+1)*(c+1) <= k {
+		c++
+	}
+	return c
+}
+
+// lwlClasses indexes least-work-left routing over a farm whose servers may
+// run different configurations. reset partitions the servers into classes of
+// equal configuration (configsEqual against one representative per class,
+// in order of each class's lowest member) — one class for a homogeneous
+// farm, two under a sleep quorum, a third once servers park — and builds one
+// lwlIndex per class over its ascending member list. route takes each class's
+// winner and keeps the minimum (done, server index) pair: the linear scan
+// visits servers in index order with a strict-less update, so that pair is
+// exactly its tie rule.
+type lwlClasses struct {
+	freeAt []float64 // the driver's shadow, written through
+	anchor []float64
+
+	classes []lwlIndex // classes[:nc] are live; the rest keep their buffers
+	nc      int
+}
+
+func (x *lwlClasses) rebind(freeAt, anchor []float64) {
+	x.freeAt, x.anchor = freeAt, anchor
+}
+
+func (x *lwlClasses) reset(cfgs []queue.Config) bool {
+	limit := maxClasses(len(x.freeAt))
+	x.nc = 0
+	// Servers are visited in index order, so each member list is ascending
+	// and its first entry is the class representative.
+	for s := range cfgs {
+		c := 0
+		for c < x.nc && !configsEqual(&cfgs[x.classes[c].members[0]], &cfgs[s]) {
+			c++
+		}
+		if c == x.nc {
+			if c == limit {
+				return false
+			}
+			if c == len(x.classes) {
+				x.classes = append(x.classes, lwlIndex{})
+			}
+			x.classes[c].members = x.classes[c].members[:0]
+			x.nc++
+		}
+		x.classes[c].members = append(x.classes[c].members, int32(s))
+	}
+	for c := range x.classes[:x.nc] {
+		cl := &x.classes[c]
+		cl.reset(&cfgs[cl.members[0]], x.freeAt, x.anchor)
+	}
+	return true
+}
+
+func (x *lwlClasses) route(j queue.Job) int {
+	bestClass, bestLeaf, best, bestDone := 0, 0, -1, 0.0
+	for c := range x.classes[:x.nc] {
+		leaf, done := x.classes[c].candidate(j)
+		s := int(x.classes[c].members[leaf])
+		if best < 0 || done < bestDone || (done == bestDone && s < best) {
+			bestClass, bestLeaf, best, bestDone = c, leaf, s, done
+		}
+	}
+	x.classes[bestClass].commit(bestLeaf, j)
+	return best
+}
+
+// lwlIndex indexes least-work-left routing over one configuration class: the
+// servers members[0] < members[1] < …, leaf i standing for server members[i].
+// Busy servers live in a minTree keyed by freeAt (idle keys +Inf, extracted
+// lazily as t passes freeAt); idle servers live in one bitset per
+// wake-pricing bucket — bucket 0 is the pre-sleep window (wake 0), bucket
+// p+1 is cfg.Phases[p] — migrating at anchor+EnterAfter boundaries via the
+// crossing heap. The candidates at arrival t are the busy minimum
+// (done = freeAt + svc) and each non-empty bucket's lowest leaf
+// (done = (t + wake) + svc), compared by (done, leaf) exactly as the linear
+// scan's strict-less loop resolves them; ascending members make the leaf
+// order the server order.
 //
-// Pricing uses the configuration passed to reset — the engines' live shared
-// configuration — exactly as Pick prices from live engines, so indexed
-// routing stays bit-identical to the sequential dispatch even when the
-// operating point switches between calls (the fleet coordinator's
+// Pricing uses the class configuration passed to reset — a snapshot of the
+// engines' live configurations — exactly as Pick prices from live engines,
+// so indexed routing stays bit-identical to the sequential dispatch even when
+// operating points switch between calls (the fleet coordinator's
 // epoch-boundary policy changes). The dispatcher's static Cfg field is never
 // consulted.
 type lwlIndex struct {
-	freeAt []float64
-	anchor []float64
-	engCfg queue.Config // the reset configuration: live pricing, like Pick
+	freeAt  []float64 // the driver's shadow, indexed by server
+	anchor  []float64
+	members []int32      // leaf → server, ascending
+	cfg     queue.Config // the class configuration: live pricing, like Pick
 
 	tree     minTree
-	buckets  []bucketBits // len(price.Phases) + 1
+	buckets  []bucketBits // len(cfg.Phases) + 1
 	wakes    []float64    // wake latency per bucket
 	enters   []float64    // EnterAfter per phase (crossing boundaries)
-	bucketOf []int32      // current bucket per server, -1 = busy
+	bucketOf []int32      // current bucket per leaf, -1 = busy
 	gen      []uint32
 	heap     []crossing
 }
 
-func (x *lwlIndex) rebind(freeAt, anchor []float64) {
-	x.freeAt, x.anchor = freeAt, anchor
-}
-
-func (x *lwlIndex) reset(engCfg queue.Config) {
-	x.engCfg = engCfg
-	k := len(x.freeAt)
-	x.tree.init(k)
+// reset rebuilds the class index over its member list, which the caller
+// has already filled, pricing from cfg.
+func (x *lwlIndex) reset(cfg *queue.Config, freeAt, anchor []float64) {
+	x.cfg, x.freeAt, x.anchor = *cfg, freeAt, anchor
+	n := len(x.members)
+	x.tree.init(n)
 	// Every server starts in the busy tree regardless of its freeAt; route's
 	// lazy extraction moves the idle ones out with the correct bucket for the
 	// first arrival's instant (which reset cannot know yet).
-	copy(x.tree.key, x.freeAt)
+	for i, s := range x.members {
+		x.tree.key[i] = freeAt[s]
+	}
 	x.tree.build()
 
-	nb := len(x.engCfg.Phases) + 1
+	nb := len(x.cfg.Phases) + 1
 	if cap(x.buckets) < nb {
 		x.buckets = make([]bucketBits, nb)
 	}
 	x.buckets = x.buckets[:nb]
-	words := (k + 63) / 64
+	words := (n + 63) / 64
 	sumWords := (words + 63) / 64
 	x.wakes = resizeFloats(x.wakes, nb)
 	x.enters = resizeFloats(x.enters, nb-1)
 	for b := range x.buckets {
 		x.buckets[b].init(words, sumWords)
 		if b > 0 {
-			x.wakes[b] = x.engCfg.Phases[b-1].WakeLatency
-			x.enters[b-1] = x.engCfg.Phases[b-1].EnterAfter
+			x.wakes[b] = x.cfg.Phases[b-1].WakeLatency
+			x.enters[b-1] = x.cfg.Phases[b-1].EnterAfter
 		}
 	}
-	x.bucketOf = resizeInt32(x.bucketOf, k)
-	x.gen = resizeUint32(x.gen, k)
-	for s := range x.bucketOf {
-		x.bucketOf[s] = -1
+	x.bucketOf = resizeInt32(x.bucketOf, n)
+	x.gen = resizeUint32(x.gen, n)
+	for i := range x.bucketOf {
+		x.bucketOf[i] = -1
 	}
 	x.heap = x.heap[:0]
 }
@@ -341,45 +438,49 @@ func resizeUint32(s []uint32, n int) []uint32 {
 	return s
 }
 
-func (x *lwlIndex) route(j queue.Job) int {
+// candidate returns the class's earliest completion of j as a (leaf, done)
+// pair, after bringing the idle structures up to j's arrival.
+func (x *lwlIndex) candidate(j queue.Job) (int, float64) {
 	t := j.Arrival
 	x.advance(t)
 
-	svc := x.engCfg.ServiceTime(j.Size)
+	svc := x.cfg.ServiceTime(j.Size)
 	best, bestDone := -1, 0.0
 	for b := range x.buckets {
-		s := x.buckets[b].lowestSet()
-		if s < 0 {
+		i := x.buckets[b].lowestSet()
+		if i < 0 {
 			continue
 		}
 		// Same float expression as the linear scan's idle branch:
 		// start = arrival + wake, done = start + svc.
 		done := (t + x.wakes[b]) + svc
-		if best < 0 || done < bestDone || (done == bestDone && s < best) {
-			best, bestDone = s, done
+		if best < 0 || done < bestDone || (done == bestDone && i < best) {
+			best, bestDone = i, done
 		}
 	}
-	if s := x.tree.min(); !math.IsInf(x.tree.key[s], 1) {
-		done := x.tree.key[s] + svc
-		if best < 0 || done < bestDone || (done == bestDone && s < best) {
-			best = s
+	if i := x.tree.min(); !math.IsInf(x.tree.key[i], 1) {
+		done := x.tree.key[i] + svc
+		if best < 0 || done < bestDone || (done == bestDone && i < best) {
+			best, bestDone = i, done
 		}
 	}
+	return best, bestDone
+}
 
-	// Commit: the picked server goes (or stays) busy; the shadow advances by
-	// the engines' configuration, the idle schedule re-anchors at the new
-	// freeAt, exactly as Engine.Process will when the job reaches it.
-	s := best
-	if b := x.bucketOf[s]; b >= 0 {
-		x.buckets[b].clear(s)
-		x.bucketOf[s] = -1
-		x.gen[s]++ // orphan any scheduled crossing
+// commit routes j to leaf i: the server goes (or stays) busy; the shadow
+// advances by the class configuration and the idle schedule re-anchors at
+// the new freeAt, exactly as Engine.Process will when the job reaches it.
+func (x *lwlIndex) commit(i int, j queue.Job) {
+	if b := x.bucketOf[i]; b >= 0 {
+		x.buckets[b].clear(i)
+		x.bucketOf[i] = -1
+		x.gen[i]++ // orphan any scheduled crossing
 	}
-	nf := x.engCfg.NextFreeAtAnchored(x.freeAt[s], x.anchor[s], j)
+	s := x.members[i]
+	nf := x.cfg.NextFreeAtAnchored(x.freeAt[s], x.anchor[s], j)
 	x.freeAt[s], x.anchor[s] = nf, nf
-	x.tree.key[s] = nf
-	x.tree.update(s)
-	return s
+	x.tree.key[i] = nf
+	x.tree.update(i)
 }
 
 // advance brings the idle structures up to arrival time t: servers whose
@@ -393,45 +494,46 @@ func (x *lwlIndex) advance(t float64) {
 	}
 	for len(x.heap) > 0 && x.heap[0].t <= t {
 		c := x.heapPop()
-		s := int(c.s)
-		if c.gen != x.gen[s] || x.bucketOf[s] != c.b-1 {
+		i := int(c.leaf)
+		if c.gen != x.gen[i] || x.bucketOf[i] != c.b-1 {
 			continue // server went busy (or already migrated) since scheduling
 		}
-		x.buckets[c.b-1].clear(s)
-		x.buckets[c.b].set(s)
-		x.bucketOf[s] = c.b
-		x.schedule(s, int(c.b))
+		x.buckets[c.b-1].clear(i)
+		x.buckets[c.b].set(i)
+		x.bucketOf[i] = c.b
+		x.schedule(i, int(c.b))
 	}
 }
 
-// goIdle moves server s from the busy tree into the bucket occupied at time
-// t, and schedules its next crossing.
-func (x *lwlIndex) goIdle(s int, t float64) {
-	x.tree.key[s] = math.Inf(1)
-	x.tree.update(s)
+// goIdle moves leaf i from the busy tree into the bucket occupied at time t,
+// and schedules its next crossing.
+func (x *lwlIndex) goIdle(i int, t float64) {
+	x.tree.key[i] = math.Inf(1)
+	x.tree.update(i)
 	// occupiedPhase(t - anchor) + 1, inlined over the cached boundaries.
-	off := t - x.anchor[s]
+	off := t - x.anchor[x.members[i]]
 	b := 0
 	for b < len(x.enters) && x.enters[b] <= off {
 		b++
 	}
-	x.buckets[b].set(s)
-	x.bucketOf[s] = int32(b)
-	x.schedule(s, b)
+	x.buckets[b].set(i)
+	x.bucketOf[i] = int32(b)
+	x.schedule(i, b)
 }
 
-// schedule pushes server s's crossing out of bucket b, if a deeper phase
+// schedule pushes leaf i's crossing out of bucket b, if a deeper phase
 // exists. The boundary is anchor + EnterAfter of the next phase, necessarily
 // in the future of the scheduling instant.
-func (x *lwlIndex) schedule(s, b int) {
+func (x *lwlIndex) schedule(i, b int) {
 	if b >= len(x.enters) {
 		return // deepest phase: no further crossing
 	}
-	x.heapPush(crossing{t: x.anchor[s] + x.enters[b], s: int32(s), b: int32(b + 1), gen: x.gen[s]})
+	t := x.anchor[x.members[i]] + x.enters[b]
+	x.heapPush(crossing{t: t, leaf: int32(i), b: int32(b + 1), gen: x.gen[i]})
 	// Orphaned entries (server went busy before its crossing fired) are only
-	// reclaimed when popped; compact if they pile up far beyond the k·phases
-	// live bound.
-	if len(x.heap) > 4*(len(x.freeAt)+16)*(len(x.enters)+1) {
+	// reclaimed when popped; compact if they pile up far beyond the
+	// members·phases live bound.
+	if len(x.heap) > 4*(len(x.members)+16)*(len(x.enters)+1) {
 		x.compact()
 	}
 }
@@ -440,8 +542,8 @@ func (x *lwlIndex) schedule(s, b int) {
 func (x *lwlIndex) compact() {
 	live := x.heap[:0]
 	for _, c := range x.heap {
-		s := int(c.s)
-		if c.gen == x.gen[s] && x.bucketOf[s] == c.b-1 {
+		i := int(c.leaf)
+		if c.gen == x.gen[i] && x.bucketOf[i] == c.b-1 {
 			live = append(live, c)
 		}
 	}

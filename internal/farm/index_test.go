@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -20,6 +21,103 @@ func deepCfg() queue.Config {
 			{Name: "c6", Power: 8, WakeLatency: 0.05, EnterAfter: 2},
 		},
 	}
+}
+
+// configMix returns per-server configurations for the heterogeneous routing
+// suites, built as a fleet builds them: every server gets its own copy of its
+// phase list, so classes are found by content, not by shared backing.
+//
+//   - "quorum": about a quarter of the servers run deepCfg capped to its
+//     shallowest phase, the rest run it whole — the two classes of a sleep
+//     quorum.
+//   - "parked": the quorum mix plus about an eighth of the servers parked in
+//     an immediate deep sleep — three classes.
+//   - "random8": each server draws one of nine configurations (four
+//     frequencies × two ladders, plus never-sleep), so large farms hold at
+//     least eight classes.
+//   - "distinct": every server runs its own frequency, more classes than the
+//     least-work-left index takes on (maxClasses), so it falls back to the
+//     linear scan.
+func configMix(mix string, k int, seed int64) []queue.Config {
+	rng := rand.New(rand.NewSource(seed))
+	deep := deepCfg()
+	shallow := deepCfg()
+	shallow.Phases = shallow.Phases[:1]
+	parked := deepCfg()
+	parked.Phases = []queue.SleepPhase{{Name: "park", Power: 8, WakeLatency: 0.05, EnterAfter: 0}}
+	var menu []queue.Config
+	for _, f := range []float64{1, 0.9, 0.8, 0.7} {
+		d, sh := deep, shallow
+		d.Frequency, sh.Frequency = f, f
+		menu = append(menu, d, sh)
+	}
+	never := deepCfg()
+	never.Phases = nil
+	menu = append(menu, never)
+
+	cfgs := make([]queue.Config, k)
+	for s := range cfgs {
+		c := deep
+		switch mix {
+		case "quorum", "parked":
+			switch r := rng.Intn(8); {
+			case r < 2:
+				c = shallow
+			case r == 2 && mix == "parked":
+				c = parked
+			}
+		case "random8":
+			c = menu[rng.Intn(len(menu))]
+		case "distinct":
+			c.Frequency = 0.5 + 0.5*rng.Float64()
+		default:
+			panic("unknown configuration mix " + mix)
+		}
+		c.Phases = append([]queue.SleepPhase(nil), c.Phases...)
+		cfgs[s] = c
+	}
+	return cfgs
+}
+
+// heteroMixes are the per-server configuration mixes the equivalence suites
+// run beyond the uniform farm.
+var heteroMixes = []string{"quorum", "parked", "random8", "distinct"}
+
+// newMixFarm builds a farm whose server s runs cfgs[s].
+func newMixFarm(t *testing.T, cfgs []queue.Config, disp Dispatcher) *Farm {
+	t.Helper()
+	f, err := New(len(cfgs), cfgs[0], disp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := 1; s < len(cfgs); s++ {
+		if err := f.Server(s).SetConfigAt(0, cfgs[s]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return f
+}
+
+// serveMix runs jobs through a fresh farm over cfgs: sequentially (Pick
+// against live engines) without opts.Parallel, through the sliced driver
+// with it.
+func serveMix(t *testing.T, cfgs []queue.Config, disp Dispatcher, jobs []queue.Job, opts DispatchOptions) Result {
+	t.Helper()
+	f := newMixFarm(t, cfgs, disp)
+	var err error
+	if opts.Parallel {
+		_, err = f.ServeSourceSliced(&sliceSource{jobs: jobs}, opts)
+	} else {
+		_, err = f.ServeSource(&sliceSource{jobs: jobs})
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := f.Finish(f.LastFree())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // indexedDispatchers returns fresh constructors for the disciplines that have
@@ -87,6 +185,24 @@ func TestRoutingIndexEquivalenceFullDispatch(t *testing.T) {
 				requireResultsEqual(t, linear, want)
 			}
 		}
+		// Per-server configurations, at a load light enough that servers
+		// idle into every sleep phase between jobs.
+		for _, mix := range heteroMixes {
+			for _, seed := range []int64{1, 2} {
+				cfgs := configMix(mix, k, seed)
+				stream := expJobs(jobs, 2*float64(k), 5, seed)
+				for _, d := range indexedDispatchers(deepCfg()) {
+					tag := fmt.Sprintf("k=%d %s seed=%d %s", k, mix, seed, d.name)
+					want := serveMix(t, cfgs, d.mk(), stream, DispatchOptions{})
+					t.Run(tag, func(t *testing.T) {
+						requireResultsEqual(t, serveMix(t, cfgs, d.mk(), stream,
+							DispatchOptions{Parallel: true, SliceJobs: 777}), want)
+						requireResultsEqual(t, serveMix(t, cfgs, d.mk(), stream,
+							DispatchOptions{Parallel: true, SliceJobs: 777, LinearRouting: true}), want)
+					})
+				}
+			}
+		}
 	}
 }
 
@@ -109,11 +225,11 @@ func shadowState(k int, seed int64) (freeAt, anchor []float64) {
 }
 
 // routeLinearReference advances one job through the linear-scan reference
-// path exactly as the sliced driver's uniform linear arm does: a
-// ConfigRouter prices from the live engine configuration snapshot, others
-// use their anchored scan (or plain RouteVirtual); then the driver's shadow
-// commit.
-func routeLinearReference(disp Dispatcher, engCfg queue.Config, cfgs []queue.Config, freeAt, anchor []float64, j queue.Job) int {
+// path exactly as the sliced driver's linear arm does: a ConfigRouter prices
+// from the live engine configuration snapshot, others use their anchored
+// scan (or plain RouteVirtual); then the driver's shadow commit under the
+// picked server's own configuration.
+func routeLinearReference(disp Dispatcher, cfgs []queue.Config, freeAt, anchor []float64, j queue.Job) int {
 	var s int
 	if crr, ok := disp.(ConfigRouter); ok {
 		s = crr.RouteVirtualConfigs(cfgs, freeAt, anchor, j)
@@ -122,7 +238,7 @@ func routeLinearReference(disp Dispatcher, engCfg queue.Config, cfgs []queue.Con
 	} else {
 		s = disp.(VirtualRouter).RouteVirtual(freeAt, j)
 	}
-	nf := engCfg.NextFreeAtAnchored(freeAt[s], anchor[s], j)
+	nf := cfgs[s].NextFreeAtAnchored(freeAt[s], anchor[s], j)
 	freeAt[s], anchor[s] = nf, nf
 	return s
 }
@@ -134,31 +250,48 @@ func routeLinearReference(disp Dispatcher, engCfg queue.Config, cfgs []queue.Con
 // include a dispatcher Cfg differing from (or zeroed against) the engine
 // configuration: routing must price from the live engine configuration and
 // ignore the dispatcher's static field, exactly as the linear ConfigRouter
-// path does. One index instance is reused across all cases via reset, which
-// is the rebuild path the sliced driver exercises per call.
+// path does. The per-server mixes (a quorum's two classes, a parked third,
+// a random mix of at least eight) must keep the index engaged. One index
+// instance per case is reused across seeds via reset, which is the rebuild
+// path the sliced driver exercises per call.
 func TestRoutingIndexEquivalence10k(t *testing.T) {
 	const k = 10000
 	slowEng := deepCfg()
 	slowEng.Frequency = 0.8
-	cases := []struct {
-		name   string
-		mk     func() Dispatcher
-		engCfg queue.Config
-	}{
-		{"jsq", func() Dispatcher { return JSQ{} }, deepCfg()},
-		{"lwl", func() Dispatcher { return &LeastWorkLeft{Cfg: deepCfg()} }, deepCfg()},
-		{"lwl-stale-cfg", func() Dispatcher { return &LeastWorkLeft{Cfg: deepCfg()} }, slowEng},
-		{"lwl-zero-cfg", func() Dispatcher { return &LeastWorkLeft{} }, deepCfg()},
+	uniform := func(c queue.Config) func(int64) []queue.Config {
+		return func(int64) []queue.Config {
+			cfgs := make([]queue.Config, k)
+			for s := range cfgs {
+				cfgs[s] = c
+			}
+			return cfgs
+		}
+	}
+	mixed := func(mix string) func(int64) []queue.Config {
+		return func(seed int64) []queue.Config { return configMix(mix, k, seed) }
+	}
+	type indexCase struct {
+		name string
+		mk   func() Dispatcher
+		cfgs func(seed int64) []queue.Config
+	}
+	cases := []indexCase{
+		{"jsq", func() Dispatcher { return JSQ{} }, uniform(deepCfg())},
+		{"lwl", func() Dispatcher { return &LeastWorkLeft{Cfg: deepCfg()} }, uniform(deepCfg())},
+		{"lwl-stale-cfg", func() Dispatcher { return &LeastWorkLeft{Cfg: deepCfg()} }, uniform(slowEng)},
+		{"lwl-zero-cfg", func() Dispatcher { return &LeastWorkLeft{} }, uniform(deepCfg())},
+	}
+	for _, mix := range []string{"quorum", "parked", "random8"} {
+		cases = append(cases,
+			indexCase{"jsq-" + mix, func() Dispatcher { return JSQ{} }, mixed(mix)},
+			indexCase{"lwl-" + mix, func() Dispatcher { return &LeastWorkLeft{} }, mixed(mix)})
 	}
 	for _, tc := range cases {
 		disp := tc.mk()
-		cfgs := make([]queue.Config, k)
-		for s := range cfgs {
-			cfgs[s] = tc.engCfg
-		}
 		var idx routeIndex
 		var idxFree, idxAnchor []float64
 		for _, seed := range []int64{1, 2, 3} {
+			cfgs := tc.cfgs(seed)
 			stream := expJobs(2000, 300, 5, seed)
 			linFree, linAnchor := shadowState(k, seed*101)
 			if idx == nil {
@@ -171,9 +304,11 @@ func TestRoutingIndexEquivalence10k(t *testing.T) {
 			}
 			copy(idxFree, linFree)
 			copy(idxAnchor, linAnchor)
-			idx.reset(tc.engCfg)
+			if !idx.reset(cfgs) {
+				t.Fatalf("%s seed=%d: index declined the configuration mix", tc.name, seed)
+			}
 			for i, j := range stream {
-				want := routeLinearReference(disp, tc.engCfg, cfgs, linFree, linAnchor, j)
+				want := routeLinearReference(disp, cfgs, linFree, linAnchor, j)
 				got := idx.route(j)
 				if got != want {
 					t.Fatalf("%s seed=%d job %d (t=%g): indexed route %d, linear route %d",
@@ -187,6 +322,37 @@ func TestRoutingIndexEquivalence10k(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestLWLIndexClassLimit pins the fallback rule: the least-work-left index
+// takes on at most maxClasses(k) = ⌊√k⌋ configuration classes and declines
+// one more, while the JSQ index, which prices nothing, takes any mix.
+func TestLWLIndexClassLimit(t *testing.T) {
+	for k, want := range map[int]int{1: 1, 3: 1, 4: 2, 7: 2, 1000: 31, 10000: 100} {
+		if got := maxClasses(k); got != want {
+			t.Errorf("maxClasses(%d) = %d, want %d", k, got, want)
+		}
+	}
+	const k = 1000
+	freeAt, anchor := shadowState(k, 5)
+	withClasses := func(n int) []queue.Config {
+		cfgs := make([]queue.Config, k)
+		for s := range cfgs {
+			cfgs[s] = deepCfg()
+			cfgs[s].Frequency = 1 - float64(s%n)/100
+		}
+		return cfgs
+	}
+	lwl := newRouteIndexFor(&LeastWorkLeft{}, freeAt, anchor)
+	if !lwl.reset(withClasses(maxClasses(k))) {
+		t.Errorf("lwl index declined %d classes at k=%d", maxClasses(k), k)
+	}
+	if lwl.reset(withClasses(maxClasses(k) + 1)) {
+		t.Errorf("lwl index took %d classes at k=%d", maxClasses(k)+1, k)
+	}
+	if !newRouteIndexFor(JSQ{}, freeAt, anchor).reset(configMix("distinct", k, 5)) {
+		t.Error("jsq index declined a per-server configuration mix")
 	}
 }
 

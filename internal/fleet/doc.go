@@ -8,8 +8,9 @@
 //     utilization predictor (fed the demand actually routed to it) and its
 //     own Strategy decision each epoch, so a skewed fleet runs a different
 //     (frequency, sleep-plan) pair per server. Routing prices each server
-//     from its own live configuration (farm.ConfigRouter / the heterogeneous
-//     sliced dispatch path).
+//     from its own live configuration, through the farm's O(log k) routing
+//     index (one least-work-left index per configuration class) or
+//     farm.ConfigRouter's linear scan.
 //
 //   - Coordinated, staggered sleep: Config.Quorum = Q caps a rotating duty
 //     window of Q active servers to sleep states no deeper than C1, so deep

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"sleepscale/internal/core"
 	"sleepscale/internal/farm"
 	"sleepscale/internal/fault"
 	"sleepscale/internal/policy"
@@ -352,6 +353,84 @@ func TestQuorumInvariantUnderRenewalChaos(t *testing.T) {
 		t.Fatal("no epoch fell short of the strict quorum form: the suite never crashed a duty-window server mid-epoch")
 	}
 	t.Logf("%d crashes; %d close-time records short of the strict form, none of the crash-aware one", crashes, strictShort)
+}
+
+// TestQuorumRenewalChaosIndexedMatchesLinear pins heterogeneous routing at
+// the fleet surface: a per-server coordinator with a sleep quorum, parking
+// and renewal crash/repair faults must report bit-identically with the
+// routing index (the default) and with Options.LinearRouting, for JSQ and
+// least-work-left at k = 7 and k = 1,000. The static deep-sleep strategy
+// leaves at most three configuration classes (quorum-capped, deep, parked),
+// which the least-work-left index serves wherever they fit under its ⌊√k⌋
+// class limit — always at k = 1,000; the RNG strategy gives servers their
+// own frequencies and drives it past the limit onto the linear scan.
+func TestQuorumRenewalChaosIndexedMatchesLinear(t *testing.T) {
+	disps := []struct {
+		name string
+		mk   func() farm.Dispatcher
+	}{
+		{"jsq", func() farm.Dispatcher { return farm.JSQ{} }},
+		{"lwl", func() farm.Dispatcher { return &farm.LeastWorkLeft{} }},
+	}
+	strats := []struct {
+		name string
+		mk   func() core.Strategy
+	}{
+		{"static-deep", func() core.Strategy {
+			return &staticStrategy{pol: policy.Policy{Frequency: 1, Plan: policy.SingleState(power.DeepSleep)}}
+		}},
+		{"rng", func() core.Strategy { return newRngStrategy() }},
+	}
+	for _, k := range []int{7, 1000} {
+		// ρ = 0.4 per server at full speed over an 8 s flat trace; about
+		// ten crashes a run at either size.
+		jobs := fleetJobs(int(32*float64(k)), 4*float64(k), 10, 31)
+		for _, d := range disps {
+			for _, st := range strats {
+				run := func(linear bool) *Report {
+					t.Helper()
+					ren, err := fault.NewRenewal(fault.RenewalConfig{
+						Servers: k, MTBF: 6 * float64(k) / 7, MTTR: 1.5, Horizon: 8,
+					}, 3)
+					if err != nil {
+						t.Fatal(err)
+					}
+					coord, err := New(Config{
+						Servers:      k,
+						FreqExponent: 1,
+						Profile:      power.Xeon(),
+						Trace:        flatTrace(8, 0.4),
+						EpochSlots:   2,
+						Strategy:     st.mk(),
+						NewPredictor: func() predict.Predictor { return predict.NewNaivePrevious() },
+						PerServer:    true,
+						Seed:         3,
+						Dispatcher:   d.mk(),
+						Quorum:       max(1, k/4),
+						Park:         true,
+						Retry:        fault.RetryPolicy{Budget: 2, Backoff: 0.25},
+						Faults:       ren,
+						Options:      farm.DispatchOptions{LinearRouting: linear},
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					rep, err := coord.Run(stream.Slice(jobs))
+					if err != nil {
+						t.Fatalf("k=%d %s %s linear=%v: %v", k, d.name, st.name, linear, err)
+					}
+					return rep
+				}
+				indexed, linear := run(false), run(true)
+				if indexed.Crashes == 0 {
+					t.Fatalf("k=%d %s %s: no crashes — faults not exercised", k, d.name, st.name)
+				}
+				if !reflect.DeepEqual(indexed, linear) {
+					t.Fatalf("k=%d %s %s: indexed and linear routing reports diverge", k, d.name, st.name)
+				}
+			}
+		}
+	}
 }
 
 // TestFaultOutageExactEnergy pins exact energy accounting through a total

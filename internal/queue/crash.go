@@ -34,7 +34,7 @@ func (e *Engine) CrashAt(t float64, lost int) error {
 	if e.down {
 		return fmt.Errorf("%w: crash at %g while already down", ErrDown, t)
 	}
-	if t < e.lastSeen {
+	if !(t >= e.lastSeen) { // NaN-safe
 		return fmt.Errorf("queue: crash at %g before last arrival %g", t, e.lastSeen)
 	}
 	if lost < 0 || lost > e.responses.Count() {
@@ -76,7 +76,7 @@ func (e *Engine) RejoinAt(t float64) error {
 	if !e.down {
 		return fmt.Errorf("queue: rejoin at %g while up", t)
 	}
-	if t < e.lastSeen {
+	if !(t >= e.lastSeen) { // NaN-safe
 		return fmt.Errorf("queue: rejoin at %g before crash at %g", t, e.lastSeen)
 	}
 	e.lastSeen = t

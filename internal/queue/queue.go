@@ -46,6 +46,13 @@ type Job struct {
 	Size float64
 }
 
+// Finite reports whether the job's arrival and size are both neither NaN nor
+// infinite — the first check Engine.Process applies (ErrNonFinite).
+func (j Job) Finite() bool {
+	return !math.IsNaN(j.Arrival) && !math.IsInf(j.Arrival, 0) &&
+		!math.IsNaN(j.Size) && !math.IsInf(j.Size, 0)
+}
+
 // SleepPhase is one low-power state in the idle-entry sequence, already
 // resolved to concrete numbers for the frequency being simulated.
 type SleepPhase struct {
@@ -245,9 +252,16 @@ type Engine struct {
 	down bool
 }
 
-// ErrOutOfOrder reports a job processed with an arrival before the previous
-// job's arrival.
-var ErrOutOfOrder = errors.New("queue: job arrivals out of order")
+// Typed rejections of Engine.Process, for errors.Is.
+var (
+	// ErrOutOfOrder reports a job processed with an arrival before the
+	// previous job's arrival.
+	ErrOutOfOrder = errors.New("queue: job arrivals out of order")
+	// ErrNonFinite reports a job whose arrival or size is NaN or infinite.
+	ErrNonFinite = errors.New("queue: non-finite job")
+	// ErrNegativeSize reports a job with a negative service demand.
+	ErrNegativeSize = errors.New("queue: negative job size")
+)
 
 // NewEngine returns an engine that starts idle at time start under cfg.
 func NewEngine(cfg Config, start float64) (*Engine, error) {
@@ -343,13 +357,15 @@ func (e *Engine) flushResidency() {
 }
 
 // Process serves one job and reports its response time. Jobs must be fed in
-// non-decreasing arrival order.
+// non-decreasing arrival order with finite arrivals and finite, non-negative
+// sizes; a job that is not is rejected with ErrNonFinite, ErrOutOfOrder or
+// ErrNegativeSize and leaves the engine untouched.
 func (e *Engine) Process(j Job) (response float64, err error) {
-	if j.Arrival < e.lastSeen {
-		return 0, fmt.Errorf("%w: %g after %g", ErrOutOfOrder, j.Arrival, e.lastSeen)
-	}
-	if j.Size < 0 {
-		return 0, fmt.Errorf("queue: negative job size %g", j.Size)
+	// One negated guard admits every good job: a NaN anywhere fails its
+	// comparison instead of slipping through, and ±Inf fails a bound.
+	if !(j.Arrival >= e.lastSeen && j.Arrival <= math.MaxFloat64 &&
+		j.Size >= 0 && j.Size <= math.MaxFloat64) {
+		return 0, e.rejectJob(j)
 	}
 	if e.down {
 		return 0, ErrDown
@@ -397,6 +413,19 @@ func (e *Engine) Process(j Job) (response float64, err error) {
 	return response, nil
 }
 
+// rejectJob classifies a job Process refused: non-finite values first, then
+// order, then sign.
+func (e *Engine) rejectJob(j Job) error {
+	switch {
+	case !j.Finite():
+		return fmt.Errorf("%w: arrival %g, size %g", ErrNonFinite, j.Arrival, j.Size)
+	case !(j.Arrival >= e.lastSeen):
+		return fmt.Errorf("%w: %g after %g", ErrOutOfOrder, j.Arrival, e.lastSeen)
+	default:
+		return fmt.Errorf("%w: %g", ErrNegativeSize, j.Size)
+	}
+}
+
 // SetRetainResponses controls whether Process keeps the raw response sample
 // (the default, enabling whole-run percentiles) or only the streaming
 // moments (O(1) memory for unbounded runs; see the discardResponses field).
@@ -413,7 +442,7 @@ func (e *Engine) SetRetainResponses(retain bool) { e.discardResponses = !retain 
 // pays the full deep-sleep wake cost. A busy server (t ≤ freeAt) has nothing
 // to wake; the call is a no-op.
 func (e *Engine) WakeAt(t float64) error {
-	if t < e.lastSeen {
+	if !(t >= e.lastSeen) { // NaN-safe
 		return fmt.Errorf("queue: wake at %g before last arrival %g", t, e.lastSeen)
 	}
 	if e.down {
@@ -450,7 +479,7 @@ func (e *Engine) SetConfigAt(t float64, cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	if t < e.lastSeen {
+	if !(t >= e.lastSeen) { // NaN-safe
 		return fmt.Errorf("queue: config switch at %g before last arrival %g", t, e.lastSeen)
 	}
 	if e.down {

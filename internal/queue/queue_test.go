@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -223,6 +224,98 @@ func TestOutOfOrderArrivalsRejected(t *testing.T) {
 	}
 	if _, err := eng.Process(Job{Arrival: 6, Size: -1}); err == nil {
 		t.Error("negative size accepted")
+	}
+}
+
+// TestProcessRejectsBadJobs is the engine's ingress table: every malformed
+// job is rejected with its typed sentinel — non-finite values first, then
+// order, then sign — and leaves the engine exactly as it was, so the next
+// good job is served as if the bad one never arrived.
+func TestProcessRejectsBadJobs(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		job  Job
+		want error
+	}{
+		{"nan arrival", Job{Arrival: nan, Size: 1}, ErrNonFinite},
+		{"+inf arrival", Job{Arrival: inf, Size: 1}, ErrNonFinite},
+		{"-inf arrival", Job{Arrival: -inf, Size: 1}, ErrNonFinite},
+		{"nan size", Job{Arrival: 6, Size: nan}, ErrNonFinite},
+		{"+inf size", Job{Arrival: 6, Size: inf}, ErrNonFinite},
+		{"-inf size", Job{Arrival: 6, Size: -inf}, ErrNonFinite},
+		{"nan arrival, negative size", Job{Arrival: nan, Size: -1}, ErrNonFinite},
+		{"early arrival", Job{Arrival: 4, Size: 1}, ErrOutOfOrder},
+		{"negative size", Job{Arrival: 6, Size: -1}, ErrNegativeSize},
+		{"early arrival, negative size", Job{Arrival: 4, Size: -1}, ErrOutOfOrder},
+	}
+	warm := func() *Engine {
+		t.Helper()
+		eng, err := NewEngine(handCfg(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Process(Job{Arrival: 5, Size: 1}); err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	next := Job{Arrival: 7, Size: 0.5}
+	ref := warm()
+	wantResp, err := ref.Process(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range cases {
+		eng := warm()
+		before := eng.State()
+		if _, err := eng.Process(tc.job); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+		if !reflect.DeepEqual(eng.State(), before) {
+			t.Errorf("%s: rejected job changed the engine state", tc.name)
+		}
+		if got, err := eng.Process(next); err != nil || got != wantResp || !reflect.DeepEqual(eng.State(), ref.State()) {
+			t.Errorf("%s: next job after the rejection: response %v (err %v), want %v and the reference state", tc.name, got, err, wantResp)
+		}
+	}
+}
+
+// TestClockedCallsRejectNaN: the engine's clocked control calls order
+// against the last arrival with NaN-safe guards, so a NaN instant is
+// refused and leaves the engine state as it was.
+func TestClockedCallsRejectNaN(t *testing.T) {
+	nan := math.NaN()
+	calls := []struct {
+		name string
+		down bool
+		call func(*Engine) error
+	}{
+		{"WakeAt", false, func(e *Engine) error { return e.WakeAt(nan) }},
+		{"SetConfigAt", false, func(e *Engine) error { return e.SetConfigAt(nan, handCfg()) }},
+		{"CrashAt", false, func(e *Engine) error { return e.CrashAt(nan, 0) }},
+		{"RejoinAt", true, func(e *Engine) error { return e.RejoinAt(nan) }},
+	}
+	for _, c := range calls {
+		eng, err := NewEngine(handCfg(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Process(Job{Arrival: 5, Size: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if c.down {
+			if err := eng.CrashAt(5.5, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := eng.State()
+		if err := c.call(eng); err == nil {
+			t.Errorf("%s(NaN) accepted", c.name)
+		}
+		if !reflect.DeepEqual(eng.State(), before) {
+			t.Errorf("%s(NaN) changed the engine state", c.name)
+		}
 	}
 }
 
