@@ -865,6 +865,73 @@ func BenchmarkFarmRoute10k(b *testing.B) {
 	}
 }
 
+// BenchmarkFarmRouteClasses is the indexed-vs-linear least-work-left A/B
+// over configuration classes: 1,000 servers at ρ = 0.3 each, split
+// round-robin into C classes of distinct frequency and alternating halt and
+// deep-sleep plans. C = 2 is a sleep quorum's shape; C = 250 = k/4 is the
+// most classes the index takes on before the driver routes linearly, and the
+// indexed side must stay ahead of linear there too.
+func BenchmarkFarmRouteClasses(b *testing.B) {
+	const k = 1000
+	stats := dispatchStats(b)
+	for _, c := range []int{2, k / 4} {
+		cfgs := make([]sleepscale.SimConfig, c)
+		for i := range cfgs {
+			plan := sleepscale.SingleState(sleepscale.DeepSleep)
+			if i%2 == 1 {
+				plan = sleepscale.SingleState(sleepscale.Halt)
+			}
+			pol := sleepscale.Policy{Frequency: 1 - 0.4*float64(i)/float64(c), Plan: plan}
+			cfg, err := pol.Config(sleepscale.Xeon(), 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfgs[i] = cfg
+		}
+		for _, linear := range []bool{false, true} {
+			name := fmt.Sprintf("indexed-%d", c)
+			if linear {
+				name = fmt.Sprintf("linear-%d", c)
+			}
+			b.Run(name, func(b *testing.B) {
+				base, err := sleepscale.NewStationarySource(stats, stats.Inter.Mean()*20000, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				src, err := sleepscale.ScaleRateSource(base, k)
+				if err != nil {
+					b.Fatal(err)
+				}
+				f, err := sleepscale.NewFarm(k, cfgs[0], &sleepscale.LeastWorkLeft{Cfg: cfgs[0]})
+				if err != nil {
+					b.Fatal(err)
+				}
+				opts := sleepscale.FarmDispatchOptions{Parallel: true, LinearRouting: linear}
+				serve := func() {
+					if err := f.Reset(cfgs[0]); err != nil {
+						b.Fatal(err)
+					}
+					for s := 0; s < k; s++ {
+						if err := f.Server(s).SetConfigAt(0, cfgs[s%c]); err != nil {
+							b.Fatal(err)
+						}
+					}
+					src.(interface{ Reset(int64) }).Reset(1)
+					if _, err := f.ServeSourceSliced(src, opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+				serve()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					serve()
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkSelectParallel measures a steady-state §5.1.1 policy-manager
 // decision on the persistent worker pool: every (state, frequency) candidate
 // scored over the same stream, with the worker set parked between

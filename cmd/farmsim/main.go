@@ -17,8 +17,9 @@
 // through an O(log k) index over the availability shadow; -linear falls
 // back to the Θ(k) linear scan (identical results — the flag exists for
 // A/B timing at large k). The same index serves -coordinate runs, whose
-// quorum and per-server policies give servers different configurations. Dispatchers: jsq, rr, random, pd<d> (power-of-d
-// choices) and lwl (least work left, wake-aware).
+// quorum and per-server policies give servers different configurations.
+// Dispatchers: jsq, rr, random, pd<d> (power-of-d choices) and lwl (least
+// work left, wake-aware).
 //
 // With -trace the farm instead runs the epoch-policy loop over a
 // utilization trace (synthetic name, CSV or columnar path), and -epochs-out

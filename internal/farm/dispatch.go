@@ -124,16 +124,16 @@ func (p *PowerOfD) Name() string { return fmt.Sprintf("pd%d", p.D) }
 // or RouteVirtualConfigs, both pricing every server from its own entry of
 // the snapshot — so the parallel mode stays bit-identical to the sequential
 // dispatch when servers run different configurations (one index per
-// configuration class; a farm with more than ⌊√k⌋ classes takes the linear
-// scan) and when SetConfigAt switches configurations between calls (the
-// fleet coordinator's epoch-boundary policy changes). Cfg prices only the
-// standalone RouteVirtual/RouteVirtualAnchored entry points, which have no
-// engines to consult; set it to the farm's operating configuration when
-// calling those directly. Idle pricing follows each server's actual idle anchor: Pick
-// reads it from the engine, and the sliced driver carries an anchor shadow
-// alongside freeAt, so the first wake after a mid-run SetConfigAt during an
-// idle period is priced exactly (the anchor the switch moved is honored, not
-// assumed equal to freeAt).
+// configuration class; a farm with more than ⌊k/4⌋ classes takes the
+// linear scan) and when SetConfigAt switches configurations between calls
+// (the fleet coordinator's epoch-boundary policy changes). Cfg prices only
+// the standalone RouteVirtual/RouteVirtualAnchored entry points, which have
+// no engines to consult; set it to the farm's operating configuration when
+// calling those directly. Idle pricing follows each server's actual idle
+// anchor: Pick reads it from the engine, and the sliced driver carries an
+// anchor shadow alongside freeAt, so the first wake after a mid-run
+// SetConfigAt during an idle period is priced exactly (the anchor the switch
+// moved is honored, not assumed equal to freeAt).
 type LeastWorkLeft struct {
 	// Cfg prices service and wake-up latency on the standalone
 	// RouteVirtual/RouteVirtualAnchored paths; the sliced driver and Pick
@@ -639,8 +639,8 @@ func (f *Farm) ServeSourceSliced(src queue.JobSource, opts DispatchOptions) (int
 					dirty = true
 				}
 			}
-			if dirty && ridx != nil && !ridx.reset(sl.cfgs) {
-				ridx = nil
+			if dirty && ridx != nil {
+				ridx.reset(sl.cfgs)
 			}
 		}
 	}

@@ -66,13 +66,14 @@
 // tournament tree over (freeAt, index) with a leftmost-at-most descent for
 // the all-idle case; LeastWorkLeft adds per-phase idle bitsets and a
 // crossing heap so sleep-state wake pricing stays exact while only O(log k)
-// state updates per decision are paid. The index serves heterogeneous farms
-// too (see below). The index is an implementation
-// detail with a hard bit-identity contract — every decision equals the
-// linear scan's, tie-breaks included — pinned by an equivalence suite up to
-// k = 10,000 and benchmarked (indexed vs linear) in BenchmarkFarmRoute10k;
-// DispatchOptions.LinearRouting disables it for A/B comparison. PowerOfD
-// inspects only its d sampled servers and stays on the plain shadow.
+// state updates per decision are paid. The index, which serves
+// heterogeneous farms too (see below), is an implementation detail with a
+// hard bit-identity contract — every decision equals the linear scan's,
+// tie-breaks included — pinned by an equivalence suite up to k = 10,000 and
+// benchmarked (indexed vs linear) in BenchmarkFarmRoute10k and
+// BenchmarkFarmRouteClasses; DispatchOptions.LinearRouting disables it for
+// A/B comparison. PowerOfD inspects only its d sampled servers and stays on
+// the plain shadow.
 //
 // # Persistent worker pool and steady-state reuse
 //
@@ -113,13 +114,13 @@
 // The O(log k) index keeps serving when they differ: JSQ decides on freeAt
 // alone and needs the server's configuration only to advance its shadow;
 // LeastWorkLeft splits the servers into classes of equal configuration — a
-// sleep quorum gives two, parking a third — indexes each class on its own,
-// and takes the earliest (completion, index) pair over the class winners,
-// the linear scan's tie rule. Past ⌊√k⌋ classes (nearly every server on its
-// own policy) the per-call partition would approach O(k²) work, so the
-// driver routes through ConfigRouter's RouteVirtualConfigs instead. The
-// linear arm, which DispatchOptions.LinearRouting selects, remains the
-// reference. Pricing is
+// static policy under a sleep quorum gives two, parking a third, per-server
+// SleepScale decisions up to hundreds — indexes each class on its own, and
+// takes the earliest (completion, index) pair over the class winners, the
+// linear scan's tie rule. Past ⌊k/4⌋ classes the class visits approach the
+// scan's per-job cost (maxClasses records the measurements), so the driver
+// routes through ConfigRouter's RouteVirtualConfigs instead. The linear arm, which
+// DispatchOptions.LinearRouting selects, remains the reference. Pricing is
 // always live: the index and the linear arm price from the engines' current
 // configurations exactly as the sequential Pick does, so a dispatcher's
 // static Cfg field is never consulted inside the driver and mid-run switches

@@ -265,29 +265,34 @@ type crossing struct {
 }
 
 // maxClasses is the most configuration classes the least-work-left index
-// takes on for a k-server farm: ⌊√k⌋. Each decision visits every class, so
-// C classes cost O(C·phases + log k) per job against the linear scan's Θ(k),
-// and partitioning costs O(k·C) per serve call. The cap keeps the first
-// at O(√k·phases) and bounds the second by the cost of routing √k jobs
-// linearly; a fleet past it — servers nearly all on distinct policies —
-// routes by the linear scan. A uniform farm is one class for every k.
-func maxClasses(k int) int {
-	c := 1
-	for (c+1)*(c+1) <= k {
-		c++
-	}
-	return c
-}
+// takes on for a k-server farm: ⌊k/4⌋, at least 1. Each decision visits
+// every class, so C classes cost O(C·phases + log k) per job against the
+// linear scan's Θ(k), plus an O(k·C) partition per serve call. Measured on a
+// 2-vCPU x86-64 host (40,000 jobs at ρ = 0.3 per server, single-state
+// classes), the index costs 23–33 ns per class and job against the scan's
+// 10–12 ns per server and job: it breaks even near C = 0.4k, is 1.9× faster
+// at C = k/4 (k = 1,000 and 10,000) and 1.4× slower at C = k/2
+// (k = 1,000). The partition at the cap takes 0.36 ms at k = 1,000 and
+// 40 ms at k = 10,000, the linear cost of routing about 36 and 320 jobs.
+// Per-server SleepScale decisions do produce many classes: an analytic
+// SleepScale fleet of 1,000 servers (email-store trace, quorum 250, no
+// parking) served 60 calls with a median of 150 classes and a maximum of
+// 601; under this cap 45 calls, 70% of the jobs, took the index and routing
+// time fell from 1.4 s to 0.65 s. Past the cap — fewer than four servers per
+// class on average — the driver routes by the linear scan. A uniform farm
+// is one class for every k.
+func maxClasses(k int) int { return max(1, k/4) }
 
 // lwlClasses indexes least-work-left routing over a farm whose servers may
 // run different configurations. reset partitions the servers into classes of
 // equal configuration (configsEqual against one representative per class,
 // in order of each class's lowest member) — one class for a homogeneous
-// farm, two under a sleep quorum, a third once servers park — and builds one
-// lwlIndex per class over its ascending member list. route takes each class's
-// winner and keeps the minimum (done, server index) pair: the linear scan
-// visits servers in index order with a strict-less update, so that pair is
-// exactly its tie rule.
+// farm, two for a static policy under a sleep quorum, a third once servers
+// park, many under per-server policies — and builds one lwlIndex per class
+// over its ascending member list. route takes each class's winner and keeps
+// the minimum (done, server index) pair: the linear scan visits servers in
+// index order with a strict-less update, so that pair is exactly its tie
+// rule.
 type lwlClasses struct {
 	freeAt []float64 // the driver's shadow, written through
 	anchor []float64

@@ -326,10 +326,10 @@ func TestRoutingIndexEquivalence10k(t *testing.T) {
 }
 
 // TestLWLIndexClassLimit pins the fallback rule: the least-work-left index
-// takes on at most maxClasses(k) = ⌊√k⌋ configuration classes and declines
-// one more, while the JSQ index, which prices nothing, takes any mix.
+// takes on at most maxClasses(k) = max(1, ⌊k/4⌋) configuration classes and
+// declines one more, while the JSQ index, which prices nothing, takes any mix.
 func TestLWLIndexClassLimit(t *testing.T) {
-	for k, want := range map[int]int{1: 1, 3: 1, 4: 2, 7: 2, 1000: 31, 10000: 100} {
+	for k, want := range map[int]int{1: 1, 7: 1, 8: 2, 1000: 250, 10000: 2500} {
 		if got := maxClasses(k); got != want {
 			t.Errorf("maxClasses(%d) = %d, want %d", k, got, want)
 		}
@@ -340,7 +340,7 @@ func TestLWLIndexClassLimit(t *testing.T) {
 		cfgs := make([]queue.Config, k)
 		for s := range cfgs {
 			cfgs[s] = deepCfg()
-			cfgs[s].Frequency = 1 - float64(s%n)/100
+			cfgs[s].Frequency = 1 - float64(s%n)/float64(2*n)
 		}
 		return cfgs
 	}

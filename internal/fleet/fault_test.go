@@ -361,9 +361,10 @@ func TestQuorumInvariantUnderRenewalChaos(t *testing.T) {
 // routing index (the default) and with Options.LinearRouting, for JSQ and
 // least-work-left at k = 7 and k = 1,000. The static deep-sleep strategy
 // leaves at most three configuration classes (quorum-capped, deep, parked),
-// which the least-work-left index serves wherever they fit under its ⌊√k⌋
-// class limit — always at k = 1,000; the RNG strategy gives servers their
-// own frequencies and drives it past the limit onto the linear scan.
+// which the least-work-left index serves wherever they fit under its ⌊k/4⌋
+// class limit — always at k = 1,000, never at k = 7; the RNG strategy gives
+// servers their own frequencies and drives it past the limit onto the linear
+// scan.
 func TestQuorumRenewalChaosIndexedMatchesLinear(t *testing.T) {
 	disps := []struct {
 		name string
