@@ -902,7 +902,7 @@ func BenchmarkFarmRouteClasses(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				f, err := sleepscale.NewFarm(k, cfgs[0], &sleepscale.LeastWorkLeft{Cfg: cfgs[0]})
+				f, err := sleepscale.NewFarm(k, cfgs[0], &sleepscale.LeastWorkLeft{})
 				if err != nil {
 					b.Fatal(err)
 				}

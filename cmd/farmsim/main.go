@@ -14,12 +14,12 @@
 // dispatch loop (the state-dependent dispatchers included), and -parallel
 // adds the time-sliced parallel simulation on the persistent worker pool —
 // bit-identical to the sequential dispatch. In that mode jsq and lwl route
-// through an O(log k) index over the availability shadow; -linear falls
-// back to the Θ(k) linear scan (identical results — the flag exists for
-// A/B timing at large k). The same index serves -coordinate runs, whose
-// quorum and per-server policies give servers different configurations.
-// Dispatchers: jsq, rr, random, pd<d> (power-of-d choices) and lwl (least
-// work left, wake-aware).
+// through an O(log k) index over the availability shadow, as they do in
+// -coordinate runs, whose quorum and per-server policies give servers
+// different configurations. Outside -coordinate, -linear falls back to the
+// Θ(k) linear scan (identical results; the flag exists for A/B timing at
+// large k). Dispatchers: jsq, rr, random, pd<d> (power-of-d choices) and
+// lwl (least work left, wake-aware).
 //
 // With -trace the farm instead runs the epoch-policy loop over a
 // utilization trace (synthetic name, CSV or columnar path), and -epochs-out
@@ -130,7 +130,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			disp, err := buildDispatcher(*dispatch, *seed, cfg)
+			disp, err := buildDispatcher(*dispatch, *seed)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -254,10 +254,6 @@ func runTraceFarm(sizes []int, traceName string, epochT int, dispatch string, se
 		return err
 	}
 	pol := sleepscale.Policy{Frequency: 1, Plan: sleepscale.SingleState(sleepscale.DeepSleep)}
-	qcfg, err := pol.Config(sleepscale.Xeon(), 1)
-	if err != nil {
-		return err
-	}
 	cfg := sleepscale.RunnerConfig{
 		Stats:        stats,
 		FreqExponent: spec.FreqExponent,
@@ -275,7 +271,7 @@ func runTraceFarm(sizes []int, traceName string, epochT int, dispatch string, se
 		fmt.Printf("%6s  %10s  %10s  %12s  %8s\n", "k", "E[R] (s)", "P95 (s)", "E[P] (W)", "epochs")
 	}
 	for _, k := range sizes {
-		disp, err := buildDispatcher(dispatch, seed, qcfg)
+		disp, err := buildDispatcher(dispatch, seed)
 		if err != nil {
 			return err
 		}
@@ -400,8 +396,8 @@ func buildStream(lambda, mu float64, jobs int, seed int64) (sleepscale.StreamSou
 
 // buildDispatcher resolves a -dispatch name. "pd<d>" (pd2, pd3, …) is the
 // power-of-d-choices family; "lwl" is least-work-left, which prices wake-up
-// latency from the farm's operating configuration cfg.
-func buildDispatcher(name string, seed int64, cfg sleepscale.SimConfig) (sleepscale.Dispatcher, error) {
+// latency from each server's own configuration.
+func buildDispatcher(name string, seed int64) (sleepscale.Dispatcher, error) {
 	switch name {
 	case "jsq":
 		return sleepscale.JSQ{}, nil
@@ -410,7 +406,7 @@ func buildDispatcher(name string, seed int64, cfg sleepscale.SimConfig) (sleepsc
 	case "random":
 		return &sleepscale.RandomDispatch{Rng: rand.New(rand.NewSource(seed + 1))}, nil
 	case "lwl":
-		return &sleepscale.LeastWorkLeft{Cfg: cfg}, nil
+		return &sleepscale.LeastWorkLeft{}, nil
 	}
 	if d, ok := strings.CutPrefix(name, "pd"); ok {
 		n, err := strconv.Atoi(d)

@@ -50,17 +50,12 @@ func TestBuildStream(t *testing.T) {
 }
 
 func TestBuildDispatcher(t *testing.T) {
-	pol := sleepscale.Policy{Frequency: 1, Plan: sleepscale.SingleState(sleepscale.DeepSleep)}
-	cfg, err := pol.Config(sleepscale.Xeon(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, name := range []string{"jsq", "rr", "random", "pd2", "pd3", "lwl"} {
-		if _, err := buildDispatcher(name, 1, cfg); err != nil {
+		if _, err := buildDispatcher(name, 1); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
-	d, err := buildDispatcher("pd4", 1, cfg)
+	d, err := buildDispatcher("pd4", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +63,7 @@ func TestBuildDispatcher(t *testing.T) {
 		t.Errorf("pd4 built %#v", d)
 	}
 	for _, bad := range []string{"nope", "pd", "pd0", "pd-1", "pdx"} {
-		if _, err := buildDispatcher(bad, 1, cfg); err == nil {
+		if _, err := buildDispatcher(bad, 1); err == nil {
 			t.Errorf("dispatcher %q accepted", bad)
 		}
 	}

@@ -126,25 +126,27 @@
 // RandomDispatch and JSQ, the package ships PowerOfD (d random choices,
 // join the least backlogged of the sample) and LeastWorkLeft (earliest
 // completion, wake-up latency included — the wake-aware refinement of JSQ).
-// Dispatchers advertise how they may be parallelized:
+// Every dispatcher's Pick against the live servers is the sequential
+// reference; two interfaces advertise how a dispatcher may be parallelized:
 //
 //   - Preassigner (round-robin, random): routing is state-independent, so
 //     assignments preassign and servers simulate concurrently.
-//   - VirtualRouter (JSQ, PowerOfD, LeastWorkLeft): routing depends only on
-//     each server's work-completion time, which the driver tracks as a
-//     scalar shadow advanced by SimConfig.NextFreeAt — an exact mirror of
-//     the engine's availability arithmetic. LeastWorkLeft is additionally
-//     an AnchoredRouter: its shadow carries each server's idle anchor, so
-//     sleep-state wake pricing stays exact across mid-run config switches
-//     taken during an idle period.
+//   - Router (JSQ, PowerOfD, LeastWorkLeft): routing depends only on each
+//     server's configuration, work-completion time and idle anchor, which
+//     the driver tracks as a shadow advanced by SimConfig.NextFreeAtAnchored
+//     — an exact mirror of the engine's availability arithmetic. Route picks
+//     against that shadow exactly as Pick would against the servers, so
+//     sleep-state wake pricing stays exact when servers run different
+//     configurations and across mid-run config switches taken during an
+//     idle period.
 //
 // At fleet scale the driver routes JSQ and LeastWorkLeft through an
 // O(log k) index over the shadow (a tournament tree, plus per-phase idle
-// bitsets and a wake-crossing heap for LeastWorkLeft), making a
-// 10,000-server farm dispatchable at interactive speed; the index is
-// bit-identical to the linear scan — an equivalence suite pins every
-// decision up to k = 10,000 — and FarmDispatchOptions.LinearRouting turns
-// it off for A/B timing.
+// bitsets and a wake-crossing heap for LeastWorkLeft, one per configuration
+// class), making a 10,000-server farm dispatchable at interactive speed;
+// the index is bit-identical to Route's linear scan — an equivalence suite
+// pins every decision up to k = 10,000 — and
+// FarmDispatchOptions.LinearRouting turns it off for A/B timing.
 //
 // FarmDispatchOptions.Parallel enables the time-sliced parallel mode: the
 // stream is cut into slices at dispatch-forced synchronization points, each

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"sleepscale/internal/eventlog"
@@ -11,6 +13,10 @@ import (
 	"sleepscale/internal/predict"
 	"sleepscale/internal/queue"
 )
+
+// ErrNegativeUtilization reports a telemetry slot whose realized
+// utilization is negative.
+var ErrNegativeUtilization = errors.New("core: negative slot utilization")
 
 // decideSeedSalt separates the strategy's bootstrap randomness from the
 // workload seed (historically runEpochs' rand.NewSource(cfg.Seed + 0x5157)).
@@ -234,12 +240,12 @@ func (l *epochLoop) openEpoch() error {
 	return nil
 }
 
-// OfferJob hands the machine one arriving job. Arrivals must be
-// non-decreasing; the job is buffered and served once the slot containing
-// its arrival completes.
+// OfferJob hands the machine one arriving job. A job queue.ValidateJob
+// refuses after the last arrival is rejected before any state changes; an
+// accepted job is buffered and served once its slot completes.
 func (l *epochLoop) OfferJob(j queue.Job) error {
-	if j.Arrival < l.lastArrival {
-		return fmt.Errorf("core: job arrival %g before previous %g", j.Arrival, l.lastArrival)
+	if err := queue.ValidateJob(j, l.lastArrival); err != nil {
+		return fmt.Errorf("core: job %d: %w", l.jobsOffered, err)
 	}
 	l.lastArrival = j.Arrival
 	if l.pendHead > 0 && l.pendHead == len(l.pending) {
@@ -254,8 +260,15 @@ func (l *epochLoop) OfferJob(j queue.Job) error {
 // OfferSlot hands the machine one completed telemetry slot's realized
 // utilization. Pending jobs the slot covers are served under the epoch's
 // policy; the EpochSlots-th slot closes the epoch and returns its record
-// with closed=true.
+// with closed=true. A non-finite or negative utilization is rejected with
+// queue.ErrNonFinite or ErrNegativeUtilization before any state changes.
 func (l *epochLoop) OfferSlot(rho float64) (rec EpochRecord, closed bool, err error) {
+	if math.IsNaN(rho) || math.IsInf(rho, 0) {
+		return EpochRecord{}, false, fmt.Errorf("core: slot %d utilization %g: %w", l.slot, rho, queue.ErrNonFinite)
+	}
+	if rho < 0 {
+		return EpochRecord{}, false, fmt.Errorf("core: slot %d utilization %g: %w", l.slot, rho, ErrNegativeUtilization)
+	}
 	if !l.epochOpen {
 		if err := l.openEpoch(); err != nil {
 			return EpochRecord{}, false, err

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -506,6 +509,114 @@ func TestCountingSourceBitIdentical(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		if plain.Float64() != resumed.Float64() {
 			t.Fatalf("resumed Float64 diverges at %d", i)
+		}
+	}
+}
+
+// liveEvent is one job or slot offered to a LiveRunner.
+type liveEvent struct {
+	slot bool
+	rho  float64
+	job  queue.Job
+}
+
+func (ev liveEvent) offer(r *LiveRunner) (EpochRecord, bool, error) {
+	if ev.slot {
+		return r.OfferSlot(ev.rho)
+	}
+	return EpochRecord{}, false, r.OfferJob(ev.job)
+}
+
+// testLiveReject offers each bad event to a runner at position at of the
+// valid event sequence, asserts its typed rejection, and requires the run
+// to finish with the uninterrupted run's epoch record and state.
+func testLiveReject(t *testing.T, newRunner func() *LiveRunner, valid []liveEvent, at int, bad []liveEvent, want []error, label string) {
+	t.Helper()
+	run := func(inject bool) (EpochRecord, *LiveState) {
+		r := newRunner()
+		var last EpochRecord
+		for i, ev := range valid {
+			if inject && i == at {
+				for b, bev := range bad {
+					_, closed, err := bev.offer(r)
+					if !errors.Is(err, want[b]) {
+						t.Fatalf("%s: bad event %d: got %v, want %v", label, b, err, want[b])
+					}
+					if closed {
+						t.Fatalf("%s: bad event %d closed an epoch", label, b)
+					}
+				}
+			}
+			rec, closed, err := ev.offer(r)
+			if err != nil {
+				t.Fatalf("%s: valid event %d after the rejection: %v", label, i, err)
+			}
+			if closed {
+				last = rec
+			}
+		}
+		st, err := r.State()
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		return last, st
+	}
+	wantRec, wantState := run(false)
+	gotRec, gotState := run(true)
+	if !reflect.DeepEqual(gotRec, wantRec) {
+		t.Fatalf("%s: record after the rejection\n got %+v\nwant %+v", label, gotRec, wantRec)
+	}
+	if !reflect.DeepEqual(gotState, wantState) {
+		t.Fatalf("%s: state after the rejection diverges from the uninterrupted run", label)
+	}
+}
+
+// TestLiveRunnerRejectsBadInput: every non-finite, negative or out-of-order
+// job or slot is rejected at the call with its typed sentinel, before any
+// runner state changes — before the epoch opens and with it open — so a
+// following valid job and slot still produce the uninterrupted run.
+func TestLiveRunnerRejectsBadInput(t *testing.T) {
+	pol := policy.Policy{Frequency: 1, Plan: policy.SingleState(power.DeepSleep)}
+	newRunner := func() *LiveRunner {
+		r, err := NewLiveRunner(liveConfig(t, &staticStrategy{pol: pol}, predict.NewNaivePrevious(), 1, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	// Two 60 s slots close one epoch; the bad input lands after the first
+	// job (epoch not yet open) or after the first slot (epoch open), both
+	// with the last accepted arrival at 30 s.
+	valid := []liveEvent{
+		{job: queue.Job{Arrival: 30, Size: 0.5}},
+		{slot: true, rho: 0.3},
+		{job: queue.Job{Arrival: 70, Size: 0.2}},
+		{slot: true, rho: 0.4},
+	}
+	job := func(arrival, size float64) liveEvent { return liveEvent{job: queue.Job{Arrival: arrival, Size: size}} }
+	slot := func(rho float64) liveEvent { return liveEvent{slot: true, rho: rho} }
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		bad  []liveEvent
+		want []error
+	}{
+		{"nan arrival", []liveEvent{job(nan, 1)}, []error{queue.ErrNonFinite}},
+		{"inf arrival", []liveEvent{job(inf, 1)}, []error{queue.ErrNonFinite}},
+		{"nan size", []liveEvent{job(50, nan)}, []error{queue.ErrNonFinite}},
+		{"inf size", []liveEvent{job(50, inf)}, []error{queue.ErrNonFinite}},
+		{"negative size", []liveEvent{job(50, -1)}, []error{queue.ErrNegativeSize}},
+		{"out of order", []liveEvent{job(20, 1)}, []error{queue.ErrOutOfOrder}},
+		{"out of order after nan", []liveEvent{job(nan, 1), job(20, 1)},
+			[]error{queue.ErrNonFinite, queue.ErrOutOfOrder}},
+		{"nan slot", []liveEvent{slot(nan)}, []error{queue.ErrNonFinite}},
+		{"inf slot", []liveEvent{slot(inf)}, []error{queue.ErrNonFinite}},
+		{"-inf slot", []liveEvent{slot(-inf)}, []error{queue.ErrNonFinite}},
+		{"negative slot", []liveEvent{slot(-0.1)}, []error{ErrNegativeUtilization}},
+	}
+	for _, tc := range cases {
+		for _, at := range []int{1, 2} {
+			testLiveReject(t, newRunner, valid, at, tc.bad, tc.want, fmt.Sprintf("%s at event %d", tc.name, at))
 		}
 	}
 }

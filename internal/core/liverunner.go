@@ -91,14 +91,15 @@ func NewLiveRunner(cfg LiveConfig) (*LiveRunner, error) {
 	return &LiveRunner{cfg: cfg, loop: loop, backend: backend}, nil
 }
 
-// OfferJob hands the runner one arriving job. Arrivals must be
-// non-decreasing; the job is served once the slot containing its arrival
-// completes.
+// OfferJob hands the runner one arriving job, rejected with the runner
+// unchanged unless it passes queue.ValidateJob against the last arrival; the
+// job is served once the slot containing its arrival completes.
 func (r *LiveRunner) OfferJob(j queue.Job) error { return r.loop.OfferJob(j) }
 
 // OfferSlot hands the runner one completed telemetry slot's realized
 // utilization; closed reports whether the slot completed an epoch, in which
-// case rec is its record.
+// case rec is its record. A non-finite or negative utilization is rejected
+// (queue.ErrNonFinite, ErrNegativeUtilization) with the runner unchanged.
 func (r *LiveRunner) OfferSlot(rho float64) (rec EpochRecord, closed bool, err error) {
 	return r.loop.OfferSlot(rho)
 }

@@ -9,46 +9,21 @@ import (
 	"sleepscale/internal/stream"
 )
 
-// VirtualRouter is the state-dependent analogue of Preassigner: a dispatcher
-// that can route against a lightweight per-server availability shadow —
-// freeAt[i] being the time server i's accepted work completes — instead of
-// live engines. RouteVirtual must pick exactly as Pick would against engines
-// whose FreeAt equals the shadow, so the time-sliced parallel dispatch can
-// decide routing serially (cheap scalar recursion) while the full
-// energy-accounting simulation of each server runs concurrently.
-type VirtualRouter interface {
-	RouteVirtual(freeAt []float64, j queue.Job) int
+// Router is the state-dependent analogue of Preassigner: a dispatcher that
+// can route against a per-server shadow instead of live engines. Route must
+// pick exactly as Pick would against engines whose Config, FreeAt and
+// IdleAnchor equal cfgs[i], freeAt[i] and anchor[i], so the time-sliced
+// parallel dispatch can decide routing serially (cheap scalar recursion)
+// while the full energy-accounting simulation of each server runs
+// concurrently.
+type Router interface {
+	Route(cfgs []queue.Config, freeAt, anchor []float64, j queue.Job) int
 }
 
-// AnchoredRouter is the optional refinement of VirtualRouter for dispatchers
-// whose pricing depends on each server's idle-schedule anchor, not just its
-// freeAt: anchor[i] is the start of server i's current idle schedule
-// (queue.Engine.IdleAnchor). The anchors differ from freeAt only for servers
-// that have been reconfigured (SetConfigAt) while idle and not served since;
-// carrying them keeps the sliced parallel dispatch bit-identical to the
-// sequential Pick path even across such switches. The sliced driver uses
-// RouteVirtualAnchored when available and falls back to RouteVirtual.
-type AnchoredRouter interface {
-	RouteVirtualAnchored(freeAt, anchor []float64, j queue.Job) int
-}
-
-// ConfigRouter is the heterogeneous-farm refinement of AnchoredRouter: a
-// dispatcher whose virtual routing prices each server from that server's own
-// configuration — cfgs[i] being engine i's live queue.Config — instead of
-// one shared operating configuration. The sliced driver's linear arm always
-// routes a ConfigRouter through it, priced from its per-call snapshot of the
-// engines' configurations, so routing matches what Pick computes against
-// live engines even when every server runs a different (frequency,
-// sleep-plan) pair (the fleet coordinator's per-server policies). With
-// identical cfgs entries it must pick exactly as RouteVirtualAnchored would.
-type ConfigRouter interface {
-	RouteVirtualConfigs(cfgs []queue.Config, freeAt, anchor []float64, j queue.Job) int
-}
-
-// RouteVirtual implements VirtualRouter: the server with the least
-// outstanding work at the arrival instant, ties toward the lowest index —
-// the same decision Pick makes from engine backlogs.
-func (JSQ) RouteVirtual(freeAt []float64, j queue.Job) int {
+// Route implements Router: the server with the least outstanding work at the
+// arrival instant, ties toward the lowest index — the same decision Pick
+// makes from engine backlogs, which read no configuration or anchor.
+func (JSQ) Route(_ []queue.Config, freeAt, _ []float64, j queue.Job) int {
 	best, bestWork := 0, shadowBacklog(freeAt[0], j.Arrival)
 	for i := 1; i < len(freeAt); i++ {
 		if w := shadowBacklog(freeAt[i], j.Arrival); w < bestWork {
@@ -71,8 +46,8 @@ func shadowBacklog(freeAt, t float64) float64 {
 // least-backlogged of the sample, ties toward the lowest sampled index — the
 // classic load-balancing compromise between random dispatch (d = 1) and full
 // JSQ (d = k), scanning d servers instead of the whole fleet. D must be ≥ 1
-// and Rng non-nil. Pick and RouteVirtual consume exactly D draws per job in
-// the same order, so the sequential and time-sliced parallel dispatch modes
+// and Rng non-nil. Pick and Route consume exactly D draws per job in the
+// same order, so the sequential and time-sliced parallel dispatch modes
 // route identically from equal Rng states.
 type PowerOfD struct {
 	// D is the sample size (2 is the textbook choice).
@@ -94,9 +69,9 @@ func (p *PowerOfD) Pick(f *Farm, j queue.Job) int {
 	return best
 }
 
-// RouteVirtual implements VirtualRouter with the same draws and the same
-// comparator as Pick, against the freeAt shadow.
-func (p *PowerOfD) RouteVirtual(freeAt []float64, j queue.Job) int {
+// Route implements Router with the same draws and the same comparator as
+// Pick, against the freeAt shadow.
+func (p *PowerOfD) Route(_ []queue.Config, freeAt, _ []float64, j queue.Job) int {
 	best, bestWork := -1, 0.0
 	for c := 0; c < p.D; c++ {
 		i := p.Rng.Intn(len(freeAt))
@@ -118,28 +93,12 @@ func (p *PowerOfD) Name() string { return fmt.Sprintf("pd%d", p.D) }
 // server competes against a nearly-free busy one on the work actually left
 // before the job finishes. Ties break toward the lowest index.
 //
-// Pricing always follows the engines' live configurations wherever engines
-// (or the sliced driver's snapshot of them) are in reach: Pick reads each
-// engine directly, and ServeSourceSliced routes through the O(log k) index
-// or RouteVirtualConfigs, both pricing every server from its own entry of
-// the snapshot — so the parallel mode stays bit-identical to the sequential
-// dispatch when servers run different configurations (one index per
-// configuration class; a farm with more than ⌊k/4⌋ classes takes the
-// linear scan) and when SetConfigAt switches configurations between calls
-// (the fleet coordinator's epoch-boundary policy changes). Cfg prices only
-// the standalone RouteVirtual/RouteVirtualAnchored entry points, which have
-// no engines to consult; set it to the farm's operating configuration when
-// calling those directly. Idle pricing follows each server's actual idle
-// anchor: Pick reads it from the engine, and the sliced driver carries an
-// anchor shadow alongside freeAt, so the first wake after a mid-run
-// SetConfigAt during an idle period is priced exactly (the anchor the switch
-// moved is honored, not assumed equal to freeAt).
-type LeastWorkLeft struct {
-	// Cfg prices service and wake-up latency on the standalone
-	// RouteVirtual/RouteVirtualAnchored paths; the sliced driver and Pick
-	// price from the engines' live configurations instead.
-	Cfg queue.Config
-}
+// Pick and Route price every server from its own configuration and idle
+// anchor, so servers may run different configurations, and the first wake
+// after a SetConfigAt during an idle period honors the anchor the switch
+// moved. The sliced driver routes through the O(log k) index, one per
+// configuration class; past ⌊k/4⌋ classes it takes Route's linear scan.
+type LeastWorkLeft struct{}
 
 // Pick implements Dispatcher: the earliest completion of j across servers,
 // computed by the same availability recursion the engines run, against each
@@ -155,40 +114,9 @@ func (l *LeastWorkLeft) Pick(f *Farm, j queue.Job) int {
 	return best
 }
 
-// RouteVirtual implements VirtualRouter: the same completion-time comparison
-// against the freeAt shadow, priced by Cfg with idle schedules anchored at
-// freeAt — exact whenever every server has processed a job since its last
-// anchor move (the steady state of a dispatch run).
-func (l *LeastWorkLeft) RouteVirtual(freeAt []float64, j queue.Job) int {
-	best, bestDone := 0, 0.0
-	for i := range freeAt {
-		done := l.Cfg.NextFreeAt(freeAt[i], j)
-		if i == 0 || done < bestDone {
-			best, bestDone = i, done
-		}
-	}
-	return best
-}
-
-// RouteVirtualAnchored is RouteVirtual against a shadow that also carries
-// idle anchors, matching Pick bit for bit even when SetConfigAt moved an
-// anchor away from its server's freeAt. The sliced driver prefers it.
-func (l *LeastWorkLeft) RouteVirtualAnchored(freeAt, anchor []float64, j queue.Job) int {
-	best, bestDone := 0, 0.0
-	for i := range freeAt {
-		done := l.Cfg.NextFreeAtAnchored(freeAt[i], anchor[i], j)
-		if i == 0 || done < bestDone {
-			best, bestDone = i, done
-		}
-	}
-	return best
-}
-
-// RouteVirtualConfigs implements ConfigRouter: the completion-time comparison
-// of RouteVirtualAnchored with wake-ups and service priced from each server's
-// own configuration. With every cfgs entry equal to Cfg it reduces to
-// RouteVirtualAnchored operation for operation.
-func (l *LeastWorkLeft) RouteVirtualConfigs(cfgs []queue.Config, freeAt, anchor []float64, j queue.Job) int {
+// Route implements Router: Pick's completion-time comparison against the
+// shadow, each server priced from its own configuration and idle anchor.
+func (l *LeastWorkLeft) Route(cfgs []queue.Config, freeAt, anchor []float64, j queue.Job) int {
 	best, bestDone := 0, 0.0
 	for i := range freeAt {
 		done := cfgs[i].NextFreeAtAnchored(freeAt[i], anchor[i], j)
@@ -223,28 +151,6 @@ func configsEqual(a, b *queue.Config) bool {
 	return true
 }
 
-// uniformConfigs reports whether every configuration equals the first.
-func uniformConfigs(cfgs []queue.Config) bool {
-	for s := 1; s < len(cfgs); s++ {
-		if !configsEqual(&cfgs[0], &cfgs[s]) {
-			return false
-		}
-	}
-	return true
-}
-
-// configFreeRouter reports whether the dispatcher's virtual routing consults
-// no configuration at all (pure backlog comparison), making it valid over a
-// heterogeneous farm as-is. Exact types, like newRouteIndexFor: a wrapper
-// overriding RouteVirtual must not inherit the exemption.
-func configFreeRouter(disp Dispatcher) bool {
-	switch disp.(type) {
-	case JSQ, *JSQ, *PowerOfD:
-		return true
-	}
-	return false
-}
-
 // DefaultSliceJobs is the synchronization granularity of the parallel
 // dispatch mode when DispatchOptions does not pick one: jobs routed per
 // slice between barriers. Larger slices amortize the barrier; the slice
@@ -258,7 +164,7 @@ type DispatchOptions struct {
 	// routed serially against the shadow (or preassigned), and the
 	// per-server substreams simulate concurrently between barriers. Results
 	// are bit-identical to the sequential dispatch. Requires a dispatcher
-	// implementing Preassigner or VirtualRouter; round-robin, random, JSQ,
+	// implementing Preassigner or Router; round-robin, random, JSQ,
 	// power-of-d and least-work-left all qualify.
 	Parallel bool
 	// SliceJobs is the jobs-per-slice granularity of the parallel mode
@@ -357,9 +263,8 @@ type slicedState struct {
 	// rebuilt per call; nil when the dispatcher has none.
 	idx routeIndex
 	// cfgs is the per-call snapshot of every engine's configuration, taken
-	// for each virtual-routed call: the routing index, a ConfigRouter's
-	// linear scan and the shadow advance price each server from its own
-	// entry.
+	// for each Router-routed call: the routing index, Route's linear scan
+	// and the shadow advance price each server from its own entry.
 	cfgs []queue.Config
 	// ord maps bucket positions back to slice positions (ord[offsets[s]+i]
 	// is the slice index of server s's i-th job), computed only while
@@ -446,9 +351,9 @@ func (f *Farm) sliced(sliceJobs int) *slicedState {
 // simulates the per-server substreams concurrently on the persistent worker
 // pool, returning the number served. The stream is consumed slice by slice;
 // within a slice routing is decided serially — by Preassign for
-// state-independent dispatchers, or against the freeAt shadow advanced with
-// queue.Config.NextFreeAt for VirtualRouters — then the servers advance in
-// parallel and the pool's reusable barrier resynchronizes the shadow from
+// state-independent dispatchers, or by Route against the shadow advanced
+// with queue.Config.NextFreeAtAnchored for Routers — then the servers advance
+// in parallel and the pool's reusable barrier resynchronizes the shadow from
 // the engines before the next slice. Because the shadow recursion mirrors
 // Engine.Process bit for bit, every routing decision equals the one the
 // sequential ServeSource would make, and each engine sees the same jobs in
@@ -464,9 +369,9 @@ func (f *Farm) sliced(sliceJobs int) *slicedState {
 func (f *Farm) ServeSourceSliced(src queue.JobSource, opts DispatchOptions) (int, error) {
 	k := len(f.engines)
 	pre, isPre := f.disp.(Preassigner)
-	vr, isVR := f.disp.(VirtualRouter)
-	if !isPre && !isVR {
-		return 0, fmt.Errorf("farm: dispatcher %s supports neither preassignment nor virtual routing; run it sequentially (DispatchOptions{Parallel: false})", f.disp.Name())
+	rt, isRt := f.disp.(Router)
+	if !isPre && !isRt {
+		return 0, fmt.Errorf("farm: dispatcher %s supports neither preassignment nor shadow routing; run it sequentially (DispatchOptions{Parallel: false})", f.disp.Name())
 	}
 	sliceJobs := opts.SliceJobs
 	if sliceJobs < 1 {
@@ -489,12 +394,11 @@ func (f *Farm) ServeSourceSliced(src queue.JobSource, opts DispatchOptions) (int
 	pool := par.Default()
 	// The shadow recursion prices service and wake-ups from a per-call
 	// snapshot of every engine's configuration; ServeSourceSliced never
-	// switches one mid-run. The routing index and the linear arm both price
-	// server s from its own entry, so a homogeneous farm and a fleet with
-	// per-server policies take the same path. Only a dispatcher that reads
-	// no configuration (JSQ, PowerOfD) or implements ConfigRouter can
-	// virtual-route a farm whose entries differ.
-	if isVR && !isPre {
+	// switches one mid-run. The routing index and Route both price server s
+	// from its own entry, so a homogeneous farm and a fleet with per-server
+	// policies take the same path.
+	var ridx routeIndex
+	if isRt && !isPre {
 		if cap(sl.cfgs) < k {
 			sl.cfgs = make([]queue.Config, k)
 		}
@@ -502,19 +406,13 @@ func (f *Farm) ServeSourceSliced(src queue.JobSource, opts DispatchOptions) (int
 		for s, eng := range f.engines {
 			sl.cfgs[s] = eng.Config()
 		}
-		if _, isCR := f.disp.(ConfigRouter); !isCR && !configFreeRouter(f.disp) && !uniformConfigs(sl.cfgs) {
-			return 0, fmt.Errorf("farm: dispatcher %s cannot virtual-route a farm with per-server configurations (implement ConfigRouter or serve sequentially)", f.disp.Name())
-		}
-	}
-	ar, isAnchored := f.disp.(AnchoredRouter)
-	cr, isCR := f.disp.(ConfigRouter)
-	var ridx routeIndex
-	if isVR && !isPre && !opts.LinearRouting {
-		if sl.idx == nil {
-			sl.idx = newRouteIndexFor(f.disp, sl.freeAt, sl.anchor)
-		}
-		if sl.idx != nil && sl.idx.reset(sl.cfgs) {
-			ridx = sl.idx
+		if !opts.LinearRouting {
+			if sl.idx == nil {
+				sl.idx = newRouteIndexFor(f.disp, sl.freeAt, sl.anchor)
+			}
+			if sl.idx != nil && sl.idx.reset(sl.cfgs) {
+				ridx = sl.idx
+			}
 		}
 	}
 	f.recBase = 0
@@ -558,17 +456,9 @@ func (f *Farm) ServeSourceSliced(src queue.JobSource, opts DispatchOptions) (int
 			}
 		default:
 			// The linear reference: LinearRouting, PowerOfD, dispatchers
-			// without an index, and farms too diverse for it. A ConfigRouter
-			// prices from the snapshot, identical to the indexed path.
+			// without an index, and farms too diverse for it.
 			for i := range slice {
-				switch {
-				case isCR:
-					assign[i] = cr.RouteVirtualConfigs(sl.cfgs, sl.freeAt, sl.anchor, slice[i])
-				case isAnchored:
-					assign[i] = ar.RouteVirtualAnchored(sl.freeAt, sl.anchor, slice[i])
-				default:
-					assign[i] = vr.RouteVirtual(sl.freeAt, slice[i])
-				}
+				assign[i] = rt.Route(sl.cfgs, sl.freeAt, sl.anchor, slice[i])
 				if s := assign[i]; s >= 0 && s < k {
 					nf := sl.cfgs[s].NextFreeAtAnchored(sl.freeAt[s], sl.anchor[s], slice[i])
 					sl.freeAt[s], sl.anchor[s] = nf, nf
@@ -630,7 +520,7 @@ func (f *Farm) ServeSourceSliced(src queue.JobSource, opts DispatchOptions) (int
 		// The routing index only rebuilds if a mismatch actually appeared
 		// (it never should; the check is the safety net that keeps a
 		// hypothetical divergence from compounding across slices).
-		if isVR {
+		if isRt {
 			dirty := false
 			for s, eng := range f.engines {
 				fa, an := eng.FreeAt(), eng.IdleAnchor()

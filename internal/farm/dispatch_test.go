@@ -24,7 +24,7 @@ func dispatchers() []struct {
 		{"jsq", func() Dispatcher { return JSQ{} }},
 		{"pd2", func() Dispatcher { return &PowerOfD{D: 2, Rng: rand.New(rand.NewSource(55))} }},
 		{"pd3", func() Dispatcher { return &PowerOfD{D: 3, Rng: rand.New(rand.NewSource(56))} }},
-		{"lwl", func() Dispatcher { return &LeastWorkLeft{Cfg: testCfg()} }},
+		{"lwl", func() Dispatcher { return &LeastWorkLeft{} }},
 	}
 }
 
@@ -82,30 +82,51 @@ func TestDispatchParallelSliceSizeInvariance(t *testing.T) {
 	}
 }
 
-// TestJSQVirtualRouterMatchesPick: the freeAt-shadow routing must replicate
-// Pick against live engines decision for decision, and the shadow recursion
-// must track the engines' FreeAt exactly.
-func TestJSQVirtualRouterMatchesPick(t *testing.T) {
-	jobs := expJobs(5000, 12, 5, 13)
-	const k = 4
-	f, err := New(k, testCfg(), JSQ{})
-	if err != nil {
-		t.Fatal(err)
+// TestRouteMatchesPick: for every Router, routing against the shadow must
+// replicate Pick against live engines decision for decision on a farm whose
+// servers run different configurations, and the shadow commit must track
+// every engine's FreeAt and IdleAnchor exactly. The shadow starts as a
+// snapshot of the engines and is only ever advanced by the commit, so each
+// Route call sees exactly the engines' state.
+func TestRouteMatchesPick(t *testing.T) {
+	jobs := expJobs(5000, 6, 5, 13)
+	routers := []struct {
+		name string
+		mk   func() Dispatcher
+	}{
+		{"jsq", func() Dispatcher { return JSQ{} }},
+		// Equal seeds: Pick and Route must draw the same samples.
+		{"pd2", func() Dispatcher { return &PowerOfD{D: 2, Rng: rand.New(rand.NewSource(42))} }},
+		{"lwl", func() Dispatcher { return &LeastWorkLeft{} }},
 	}
-	cfg := testCfg()
-	freeAt := make([]float64, k)
-	for i, j := range jobs {
-		virtual := (JSQ{}).RouteVirtual(freeAt, j)
-		_, picked, err := f.Process(j)
-		if err != nil {
-			t.Fatal(err)
+	for _, d := range routers {
+		f := hetFarm(t, d.mk())
+		rt := d.mk().(Router)
+		k := f.Size()
+		cfgs := make([]queue.Config, k)
+		freeAt := make([]float64, k)
+		anchor := make([]float64, k)
+		for s := 0; s < k; s++ {
+			cfgs[s] = f.Server(s).Config()
+			freeAt[s], anchor[s] = f.Server(s).FreeAt(), f.Server(s).IdleAnchor()
 		}
-		if virtual != picked {
-			t.Fatalf("job %d: virtual route %d, engine pick %d", i, virtual, picked)
-		}
-		freeAt[virtual] = cfg.NextFreeAt(freeAt[virtual], j)
-		if got := f.Server(virtual).FreeAt(); got != freeAt[virtual] {
-			t.Fatalf("job %d: shadow freeAt %.17g, engine %.17g", i, freeAt[virtual], got)
+		for i, j := range jobs {
+			routed := rt.Route(cfgs, freeAt, anchor, j)
+			_, picked, err := f.Process(j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if routed != picked {
+				t.Fatalf("%s job %d: Route %d, Pick %d", d.name, i, routed, picked)
+			}
+			nf := cfgs[routed].NextFreeAtAnchored(freeAt[routed], anchor[routed], j)
+			freeAt[routed], anchor[routed] = nf, nf
+			for s := 0; s < k; s++ {
+				if eng := f.Server(s); eng.FreeAt() != freeAt[s] || eng.IdleAnchor() != anchor[s] {
+					t.Fatalf("%s job %d server %d: shadow (%.17g, %.17g), engine (%.17g, %.17g)",
+						d.name, i, s, freeAt[s], anchor[s], eng.FreeAt(), eng.IdleAnchor())
+				}
+			}
 		}
 	}
 }
@@ -179,7 +200,7 @@ func TestDispatchSourceValidation(t *testing.T) {
 	}
 }
 
-// pickOnly is a dispatcher with neither Preassign nor RouteVirtual: the
+// pickOnly is a dispatcher with neither Preassign nor Route: the
 // parallel mode must reject it rather than silently serialize.
 type pickOnly struct{}
 
@@ -197,10 +218,12 @@ func TestDispatchParallelRejectsPlainDispatcher(t *testing.T) {
 	}
 }
 
-// badRouter routes out of range through the virtual path.
+// badRouter routes out of range through Route.
 type badRouter struct{ JSQ }
 
-func (badRouter) RouteVirtual(freeAt []float64, _ queue.Job) int { return len(freeAt) }
+func (badRouter) Route(_ []queue.Config, freeAt, _ []float64, _ queue.Job) int {
+	return len(freeAt)
+}
 
 func TestDispatchParallelRejectsBadRoute(t *testing.T) {
 	src := &sliceSource{jobs: expJobs(100, 8, 5, 5)}
@@ -389,7 +412,7 @@ func TestLeastWorkLeftPricesFirstWakeAfterIdleSwitch(t *testing.T) {
 	cfg := testCfg()
 	cfg.Phases[0].EnterAfter = 3 // sleep entered 3 s after the queue empties
 	cfg.Phases[0].WakeLatency = 5
-	lwl := &LeastWorkLeft{Cfg: cfg}
+	lwl := &LeastWorkLeft{}
 	f, err := New(2, cfg, lwl)
 	if err != nil {
 		t.Fatal(err)
@@ -431,11 +454,11 @@ func TestLeastWorkLeftPricesFirstWakeAfterIdleSwitch(t *testing.T) {
 // TestLeastWorkLeftPricesWakeups: with one server mid-job and the others
 // deep asleep behind a long wake latency, least-work-left routes a new
 // arrival to the nearly-free busy server — the decision JSQ (backlog only)
-// gets wrong — and its virtual routing mirrors Pick.
+// gets wrong — and its Route mirrors Pick.
 func TestLeastWorkLeftPricesWakeups(t *testing.T) {
 	cfg := testCfg()
 	cfg.Phases[0].WakeLatency = 5 // sleeping servers pay 5 s to wake
-	lwl := &LeastWorkLeft{Cfg: cfg}
+	lwl := &LeastWorkLeft{}
 	f, err := New(3, cfg, lwl)
 	if err != nil {
 		t.Fatal(err)
@@ -456,8 +479,8 @@ func TestLeastWorkLeftPricesWakeups(t *testing.T) {
 		t.Errorf("LWL picked server %d, want the nearly-free busy server 0", got)
 	}
 	freeAt := []float64{f.Server(0).FreeAt(), 0, 0}
-	if got := lwl.RouteVirtual(freeAt, j); got != 0 {
-		t.Errorf("LWL virtual route %d, want 0", got)
+	if got := lwl.Route([]queue.Config{cfg, cfg, cfg}, freeAt, freeAt, j); got != 0 {
+		t.Errorf("LWL Route picked %d, want 0", got)
 	}
 }
 
@@ -554,9 +577,9 @@ func hetFarm(t *testing.T, disp Dispatcher) *Farm {
 }
 
 // TestServeSourceSlicedHeterogeneousMatchesSequential pins the per-server
-// configuration routing path — RouteVirtualConfigs for least-work-left, the
-// configuration-free shadow for JSQ and power-of-d — to the sequential Pick
-// dispatch over live engines, bit for bit.
+// configuration routing path — every Router priced from the snapshot of the
+// engines' configurations — to the sequential Pick dispatch over live
+// engines, bit for bit.
 func TestServeSourceSlicedHeterogeneousMatchesSequential(t *testing.T) {
 	disps := []struct {
 		name string
@@ -564,7 +587,7 @@ func TestServeSourceSlicedHeterogeneousMatchesSequential(t *testing.T) {
 	}{
 		{"jsq", func() Dispatcher { return JSQ{} }},
 		{"pd2", func() Dispatcher { return &PowerOfD{D: 2, Rng: rand.New(rand.NewSource(42))} }},
-		{"lwl", func() Dispatcher { return &LeastWorkLeft{Cfg: hetConfigs()[0]} }},
+		{"lwl", func() Dispatcher { return &LeastWorkLeft{} }},
 	}
 	for _, seed := range []int64{1, 2} {
 		jobs := expJobs(20000, 6, 5, seed)
@@ -595,33 +618,6 @@ func TestServeSourceSlicedHeterogeneousMatchesSequential(t *testing.T) {
 	}
 }
 
-// bareVirtualRouter virtual-routes like JSQ but is neither a ConfigRouter
-// nor one of the known configuration-free types, so a heterogeneous farm
-// must reject it rather than silently misprice the shadow.
-type bareVirtualRouter struct{}
-
-func (bareVirtualRouter) Pick(f *Farm, j queue.Job) int { return JSQ{}.Pick(f, j) }
-func (bareVirtualRouter) RouteVirtual(freeAt []float64, j queue.Job) int {
-	return JSQ{}.RouteVirtual(freeAt, j)
-}
-func (bareVirtualRouter) Name() string { return "bare-virtual" }
-
-func TestServeSourceSlicedHeterogeneousRejectsUnawareRouter(t *testing.T) {
-	jobs := expJobs(100, 6, 5, 3)
-	f := hetFarm(t, bareVirtualRouter{})
-	if _, err := f.ServeSourceSliced(&sliceSource{jobs: jobs}, DispatchOptions{}); err == nil {
-		t.Fatal("heterogeneous farm accepted a config-unaware virtual router")
-	}
-	// The same dispatcher over a homogeneous farm is fine.
-	hom, err := New(3, testCfg(), bareVirtualRouter{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := hom.ServeSourceSliced(&sliceSource{jobs: jobs}, DispatchOptions{}); err != nil {
-		t.Fatalf("homogeneous farm rejected: %v", err)
-	}
-}
-
 // TestSlicedDispatchRejectsNonFiniteArrival: a NaN arrival mid-stream must
 // surface as queue.ErrNonFinite from every dispatch path — sequential,
 // indexed and linear — without reaching the shadow or the routing index,
@@ -630,7 +626,7 @@ func TestSlicedDispatchRejectsNonFiniteArrival(t *testing.T) {
 	jobs := expJobs(3000, 40, 5, 21)
 	const bad = 1234 // inside a slice, not on a boundary
 	jobs[bad].Arrival = math.NaN()
-	for _, d := range indexedDispatchers(deepCfg()) {
+	for _, d := range indexedDispatchers() {
 		for _, opts := range []DispatchOptions{
 			{},
 			{Parallel: true, SliceJobs: 500},

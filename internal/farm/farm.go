@@ -85,7 +85,8 @@ func (JSQ) Pick(f *Farm, j queue.Job) int {
 // Name implements Dispatcher.
 func (JSQ) Name() string { return "jsq" }
 
-// Farm is a cluster of identical single-server queues.
+// Farm is a cluster of single-server queues behind one dispatcher; each
+// server may run its own configuration (Server(i).SetConfigAt).
 type Farm struct {
 	engines []*queue.Engine
 	disp    Dispatcher

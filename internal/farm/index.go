@@ -64,7 +64,7 @@ type routeIndex interface {
 // newRouteIndexFor returns the O(log k) index for dispatchers that have one,
 // nil otherwise. The gate is deliberately exact-type, not an interface: a
 // wrapper embedding JSQ or LeastWorkLeft would inherit a promoted index
-// constructor while overriding RouteVirtual, and the index would silently
+// constructor while overriding Route, and the index would silently
 // route by the embedded semantics instead of the override. The returned index
 // routes against — and writes through — the driver's freeAt/anchor shadow
 // slices, which must stay aliased for the index's lifetime.

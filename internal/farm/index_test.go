@@ -121,8 +121,8 @@ func serveMix(t *testing.T, cfgs []queue.Config, disp Dispatcher, jobs []queue.J
 }
 
 // indexedDispatchers returns fresh constructors for the disciplines that have
-// an O(log k) routing index, priced by cfg.
-func indexedDispatchers(cfg queue.Config) []struct {
+// an O(log k) routing index.
+func indexedDispatchers() []struct {
 	name string
 	mk   func() Dispatcher
 } {
@@ -131,7 +131,7 @@ func indexedDispatchers(cfg queue.Config) []struct {
 		mk   func() Dispatcher
 	}{
 		{"jsq", func() Dispatcher { return JSQ{} }},
-		{"lwl", func() Dispatcher { return &LeastWorkLeft{Cfg: cfg} }},
+		{"lwl", func() Dispatcher { return &LeastWorkLeft{} }},
 	}
 }
 
@@ -147,26 +147,9 @@ func TestRoutingIndexEquivalenceFullDispatch(t *testing.T) {
 		if k >= 1000 {
 			jobs = 4000 // the O(k)-per-job reference paths dominate the cost
 		}
-		// The shared dispatchers() table prices least-work-left with
-		// testCfg; these farms run deepCfg, so build a fresh table. The
-		// lwl entry deliberately leaves Cfg zero: every dispatch path —
-		// Pick, the index, and the linear ConfigRouter arm — prices from
-		// the engines' live configuration, so the static field must not
-		// matter.
-		disps := []struct {
-			name string
-			mk   func() Dispatcher
-		}{
-			{"round-robin", func() Dispatcher { return &RoundRobin{} }},
-			{"random", func() Dispatcher { return &Random{Rng: rand.New(rand.NewSource(77))} }},
-			{"jsq", func() Dispatcher { return JSQ{} }},
-			{"pd2", func() Dispatcher { return &PowerOfD{D: 2, Rng: rand.New(rand.NewSource(55))} }},
-			{"pd3", func() Dispatcher { return &PowerOfD{D: 3, Rng: rand.New(rand.NewSource(56))} }},
-			{"lwl", func() Dispatcher { return &LeastWorkLeft{} }},
-		}
 		for _, seed := range []int64{1, 2, 3} {
 			stream := expJobs(jobs, 10*float64(k), 5, seed)
-			for _, d := range disps {
+			for _, d := range dispatchers() {
 				want, err := DispatchSource(k, deepCfg(), d.mk(), &sliceSource{jobs: stream}, DispatchOptions{})
 				if err != nil {
 					t.Fatalf("k=%d seed=%d %s sequential: %v", k, seed, d.name, err)
@@ -191,7 +174,7 @@ func TestRoutingIndexEquivalenceFullDispatch(t *testing.T) {
 			for _, seed := range []int64{1, 2} {
 				cfgs := configMix(mix, k, seed)
 				stream := expJobs(jobs, 2*float64(k), 5, seed)
-				for _, d := range indexedDispatchers(deepCfg()) {
+				for _, d := range indexedDispatchers() {
 					tag := fmt.Sprintf("k=%d %s seed=%d %s", k, mix, seed, d.name)
 					want := serveMix(t, cfgs, d.mk(), stream, DispatchOptions{})
 					t.Run(tag, func(t *testing.T) {
@@ -225,19 +208,11 @@ func shadowState(k int, seed int64) (freeAt, anchor []float64) {
 }
 
 // routeLinearReference advances one job through the linear-scan reference
-// path exactly as the sliced driver's linear arm does: a ConfigRouter prices
-// from the live engine configuration snapshot, others use their anchored
-// scan (or plain RouteVirtual); then the driver's shadow commit under the
-// picked server's own configuration.
+// path exactly as the sliced driver's linear arm does: Route prices from the
+// configuration snapshot, then the shadow commits under the picked server's
+// own configuration.
 func routeLinearReference(disp Dispatcher, cfgs []queue.Config, freeAt, anchor []float64, j queue.Job) int {
-	var s int
-	if crr, ok := disp.(ConfigRouter); ok {
-		s = crr.RouteVirtualConfigs(cfgs, freeAt, anchor, j)
-	} else if ar, ok := disp.(AnchoredRouter); ok {
-		s = ar.RouteVirtualAnchored(freeAt, anchor, j)
-	} else {
-		s = disp.(VirtualRouter).RouteVirtual(freeAt, j)
-	}
+	s := disp.(Router).Route(cfgs, freeAt, anchor, j)
 	nf := cfgs[s].NextFreeAtAnchored(freeAt[s], anchor[s], j)
 	freeAt[s], anchor[s] = nf, nf
 	return s
@@ -246,14 +221,12 @@ func routeLinearReference(disp Dispatcher, cfgs []queue.Config, freeAt, anchor [
 // TestRoutingIndexEquivalence10k drives the indexes decision by decision
 // against the linear scans at fleet scale — k = 10,000, where a full farm
 // comparison would be dominated by engine accounting — asserting every routing
-// decision and the final shadow agree bitwise. The least-work-left cases
-// include a dispatcher Cfg differing from (or zeroed against) the engine
-// configuration: routing must price from the live engine configuration and
-// ignore the dispatcher's static field, exactly as the linear ConfigRouter
-// path does. The per-server mixes (a quorum's two classes, a parked third,
-// a random mix of at least eight) must keep the index engaged. One index
-// instance per case is reused across seeds via reset, which is the rebuild
-// path the sliced driver exercises per call.
+// decision and the final shadow agree bitwise. Least-work-left runs on a
+// uniform farm at two frequencies (f = 1 and a slowed f = 0.8), so service
+// pricing must follow the configuration snapshot. The per-server mixes (a
+// quorum's two classes, a parked third, a random mix of at least eight) must
+// keep the index engaged. One index instance per case is reused across seeds
+// via reset, which is the rebuild path the sliced driver exercises per call.
 func TestRoutingIndexEquivalence10k(t *testing.T) {
 	const k = 10000
 	slowEng := deepCfg()
@@ -277,9 +250,8 @@ func TestRoutingIndexEquivalence10k(t *testing.T) {
 	}
 	cases := []indexCase{
 		{"jsq", func() Dispatcher { return JSQ{} }, uniform(deepCfg())},
-		{"lwl", func() Dispatcher { return &LeastWorkLeft{Cfg: deepCfg()} }, uniform(deepCfg())},
-		{"lwl-stale-cfg", func() Dispatcher { return &LeastWorkLeft{Cfg: deepCfg()} }, uniform(slowEng)},
-		{"lwl-zero-cfg", func() Dispatcher { return &LeastWorkLeft{} }, uniform(deepCfg())},
+		{"lwl", func() Dispatcher { return &LeastWorkLeft{} }, uniform(deepCfg())},
+		{"lwl-stale-cfg", func() Dispatcher { return &LeastWorkLeft{} }, uniform(slowEng)},
 	}
 	for _, mix := range []string{"quorum", "parked", "random8"} {
 		cases = append(cases,
@@ -364,7 +336,7 @@ func TestRoutingIndexRebuildAfterReset(t *testing.T) {
 	const k = 64
 	streamA := expJobs(8000, 400, 5, 7)
 	streamB := expJobs(5000, 250, 4, 8)
-	for _, d := range indexedDispatchers(deepCfg()) {
+	for _, d := range indexedDispatchers() {
 		f, err := New(k, deepCfg(), d.mk())
 		if err != nil {
 			t.Fatal(err)
@@ -414,7 +386,7 @@ func TestSlicedDispatchAgreesAcrossIdleSwitch(t *testing.T) {
 	for i := range tail {
 		tail[i].Arrival += switchAt + 0.5
 	}
-	for _, d := range indexedDispatchers(deepCfg()) {
+	for _, d := range indexedDispatchers() {
 		serve := func(opts DispatchOptions) Summary {
 			t.Helper()
 			f, err := New(k, deepCfg(), d.mk())

@@ -39,7 +39,7 @@ func TestSelectViewMatchesMaskedScan(t *testing.T) {
 	healthy := []int{0, 2, 3, 7, 8, 9, 14}
 	jobs := expJobs(4000, 10*float64(len(healthy)), 5, 11)
 
-	for _, d := range indexedDispatchers(deepCfg()) {
+	for _, d := range indexedDispatchers() {
 		// Reference: masked sequential scan over the full farm.
 		ref, err := New(k, deepCfg(), d.mk())
 		if err != nil {
@@ -105,7 +105,7 @@ func TestSelectViewResize(t *testing.T) {
 		{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
 		{3, 11},
 	}
-	for _, d := range indexedDispatchers(deepCfg()) {
+	for _, d := range indexedDispatchers() {
 		reused, err := New(k, deepCfg(), d.mk())
 		if err != nil {
 			t.Fatal(err)

@@ -9,8 +9,8 @@
 //     own Strategy decision each epoch, so a skewed fleet runs a different
 //     (frequency, sleep-plan) pair per server. Routing prices each server
 //     from its own live configuration, through the farm's O(log k) routing
-//     index (one least-work-left index per configuration class) or
-//     farm.ConfigRouter's linear scan.
+//     index (one least-work-left index per configuration class) or the
+//     linear scan of farm.Router's Route.
 //
 //   - Coordinated, staggered sleep: Config.Quorum = Q caps a rotating duty
 //     window of Q active servers to sleep states no deeper than C1, so deep

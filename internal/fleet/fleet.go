@@ -49,9 +49,9 @@ type Config struct {
 	// Seed drives the strategy's bootstrap resampling via core.DecideSeed.
 	Seed int64
 	// Dispatcher routes jobs over the active servers. It must support the
-	// sliced dispatch path (Preassigner or VirtualRouter); per-server
-	// policies additionally need a ConfigRouter or configuration-free
-	// dispatcher.
+	// sliced dispatch path (farm.Preassigner or farm.Router); a Router
+	// prices each server from its own configuration, so per-server policies
+	// need nothing more.
 	Dispatcher farm.Dispatcher
 	// Options tunes the sliced serving path (slice size, worker bound).
 	Options farm.DispatchOptions

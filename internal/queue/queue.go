@@ -47,7 +47,7 @@ type Job struct {
 }
 
 // Finite reports whether the job's arrival and size are both neither NaN nor
-// infinite — the first check Engine.Process applies (ErrNonFinite).
+// infinite — the first check ValidateJob classifies (ErrNonFinite).
 func (j Job) Finite() bool {
 	return !math.IsNaN(j.Arrival) && !math.IsInf(j.Arrival, 0) &&
 		!math.IsNaN(j.Size) && !math.IsInf(j.Size, 0)
@@ -138,26 +138,17 @@ func (c *Config) occupiedPhase(off float64) int {
 	return idx
 }
 
-// NextFreeAt advances the server-availability recursion of Engine.Process for
-// one job, with none of the energy or metrics accounting: given a server
-// whose accepted work completes at freeAt — and whose idle schedule is
-// anchored there, which holds whenever the engine has only processed jobs
-// since its last reset (no SetConfigAt) — it returns the completion time
-// after additionally serving j. The arithmetic mirrors Process operation for
-// operation, so state-dependent dispatchers (farm JSQ) can route against a
-// lightweight freeAt shadow and pick bit-identically to routing against live
+// NextFreeAtAnchored advances the server-availability recursion of
+// Engine.Process for one job, with none of the energy or metrics accounting:
+// given a server whose accepted work completes at freeAt and whose idle
+// schedule is anchored at anchor, it returns the completion time after
+// additionally serving j. anchor equals freeAt whenever the server has
+// processed a job since the last anchor move (Process re-sets both to the
+// departure time); a SetConfigAt during an idle period moves it past
+// freeAt. The arithmetic mirrors Process operation for operation, so
+// state-dependent dispatchers (farm JSQ, least-work-left) can route against
+// a lightweight shadow and pick bit-identically to routing against live
 // engines.
-func (c *Config) NextFreeAt(freeAt float64, j Job) float64 {
-	return c.NextFreeAtAnchored(freeAt, freeAt, j)
-}
-
-// NextFreeAtAnchored is NextFreeAt for a server whose idle schedule is
-// anchored at anchor rather than at freeAt — the general form of the
-// availability recursion, matching Engine.Process even after a SetConfigAt
-// during an idle period moved the anchor. anchor must equal freeAt whenever
-// the server has processed a job since the last anchor move (Process re-sets
-// both to the departure time); NextFreeAt is the anchor == freeAt special
-// case.
 func (c *Config) NextFreeAtAnchored(freeAt, anchor float64, j Job) float64 {
 	svc := c.ServiceTime(j.Size)
 	var start float64
@@ -257,8 +248,9 @@ var (
 	// ErrOutOfOrder reports a job processed with an arrival before the
 	// previous job's arrival.
 	ErrOutOfOrder = errors.New("queue: job arrivals out of order")
-	// ErrNonFinite reports a job whose arrival or size is NaN or infinite.
-	ErrNonFinite = errors.New("queue: non-finite job")
+	// ErrNonFinite reports a job whose arrival or size is NaN or infinite
+	// (the epoch loop also rejects a non-finite slot utilization with it).
+	ErrNonFinite = errors.New("queue: non-finite value")
 	// ErrNegativeSize reports a job with a negative service demand.
 	ErrNegativeSize = errors.New("queue: negative job size")
 )
@@ -361,11 +353,8 @@ func (e *Engine) flushResidency() {
 // sizes; a job that is not is rejected with ErrNonFinite, ErrOutOfOrder or
 // ErrNegativeSize and leaves the engine untouched.
 func (e *Engine) Process(j Job) (response float64, err error) {
-	// One negated guard admits every good job: a NaN anywhere fails its
-	// comparison instead of slipping through, and ±Inf fails a bound.
-	if !(j.Arrival >= e.lastSeen && j.Arrival <= math.MaxFloat64 &&
-		j.Size >= 0 && j.Size <= math.MaxFloat64) {
-		return 0, e.rejectJob(j)
+	if !j.follows(e.lastSeen) {
+		return 0, ValidateJob(j, e.lastSeen)
 	}
 	if e.down {
 		return 0, ErrDown
@@ -413,14 +402,26 @@ func (e *Engine) Process(j Job) (response float64, err error) {
 	return response, nil
 }
 
-// rejectJob classifies a job Process refused: non-finite values first, then
-// order, then sign.
-func (e *Engine) rejectJob(j Job) error {
+// follows reports whether j may be the next job after an arrival at last.
+// A NaN anywhere fails its comparison instead of slipping through, and ±Inf
+// fails a bound.
+func (j Job) follows(last float64) bool {
+	return j.Arrival >= last && j.Arrival <= math.MaxFloat64 &&
+		j.Size >= 0 && j.Size <= math.MaxFloat64
+}
+
+// ValidateJob checks j as the next job after an arrival at last: it returns
+// nil for a finite, in-order arrival with a finite, non-negative size, and
+// otherwise ErrNonFinite, ErrOutOfOrder or ErrNegativeSize, checked in that
+// order.
+func ValidateJob(j Job, last float64) error {
 	switch {
+	case j.follows(last):
+		return nil
 	case !j.Finite():
 		return fmt.Errorf("%w: arrival %g, size %g", ErrNonFinite, j.Arrival, j.Size)
-	case !(j.Arrival >= e.lastSeen):
-		return fmt.Errorf("%w: %g after %g", ErrOutOfOrder, j.Arrival, e.lastSeen)
+	case !(j.Arrival >= last):
+		return fmt.Errorf("%w: %g after %g", ErrOutOfOrder, j.Arrival, last)
 	default:
 		return fmt.Errorf("%w: %g", ErrNegativeSize, j.Size)
 	}
@@ -514,9 +515,8 @@ func (e *Engine) IdleAnchor() float64 { return e.anchor }
 // NextFreeAt reports the time at which the engine's work would complete if it
 // additionally served j, without serving it — the same availability recursion
 // Process runs, priced against the engine's live configuration and its actual
-// idle anchor. Unlike Config.NextFreeAt on FreeAt alone, this stays exact
-// after a mid-run SetConfigAt during an idle period (the anchor moved while
-// freeAt did not).
+// idle anchor, so it stays exact after a mid-run SetConfigAt during an idle
+// period (the anchor moved while freeAt did not).
 func (e *Engine) NextFreeAt(j Job) float64 {
 	return e.cfg.NextFreeAtAnchored(e.freeAt, e.anchor, j)
 }

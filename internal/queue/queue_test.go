@@ -680,10 +680,10 @@ func TestSimulateSourceSurfacesSourceError(t *testing.T) {
 }
 
 // TestNextFreeAtMatchesEngine pins the dispatch shadow recursion to the
-// engine bit for bit: over a random multi-phase stream, Config.NextFreeAt
-// applied to the previous FreeAt must land exactly on the engine's FreeAt
-// after every Process — the property the farm package's parallel JSQ mode
-// rests on.
+// engine bit for bit: over a random multi-phase stream,
+// Config.NextFreeAtAnchored applied to the previous FreeAt (as both freeAt
+// and anchor) must land exactly on the engine's FreeAt after every Process —
+// the property the farm package's parallel JSQ mode rests on.
 func TestNextFreeAtMatchesEngine(t *testing.T) {
 	cfg := Config{
 		Frequency:    0.7,
@@ -704,7 +704,7 @@ func TestNextFreeAtMatchesEngine(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		tnow += rng.ExpFloat64() * 0.8
 		j := Job{Arrival: tnow, Size: rng.ExpFloat64() * 0.3}
-		shadow = cfg.NextFreeAt(shadow, j)
+		shadow = cfg.NextFreeAtAnchored(shadow, shadow, j)
 		if _, err := eng.Process(j); err != nil {
 			t.Fatal(err)
 		}
@@ -724,7 +724,7 @@ func TestNextFreeAtPhaseless(t *testing.T) {
 	}
 	shadow := 0.0
 	for i, j := range []Job{{Arrival: 1, Size: 2}, {Arrival: 1.5, Size: 0.25}, {Arrival: 9, Size: 1}} {
-		shadow = cfg.NextFreeAt(shadow, j)
+		shadow = cfg.NextFreeAtAnchored(shadow, shadow, j)
 		if _, err := eng.Process(j); err != nil {
 			t.Fatal(err)
 		}

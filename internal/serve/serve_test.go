@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -646,5 +647,63 @@ func TestFeedSlotFeedShapes(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("materialized and generated feeds produce different wire bytes")
+	}
+}
+
+// TestServeRejectsNonFiniteFrames: a NaN slot frame, or a job frame with a
+// NaN arrival, ends Serve with an error wrapping queue.ErrNonFinite before
+// the runner takes it in. No NDJSON record carries NaN, and the last
+// checkpoint written still restores: replaying the clean stream from it
+// finishes exactly as an uninterrupted clean run does.
+func TestServeRejectsNonFiniteFrames(t *testing.T) {
+	util, jobs := fixture(t, 1)
+	ref, err := NewServer(Config{Runner: mkSleepScale(t, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, done, err := ref.Serve(bytes.NewReader(encodeStream(t, util, jobs)))
+	if err != nil || !done {
+		t.Fatal(done, err)
+	}
+	cases := []struct {
+		name   string
+		mutate func(util []float64, jobs []queue.Job)
+	}{
+		{"nan slot", func(util []float64, _ []queue.Job) { util[len(util)/2] = math.NaN() }},
+		{"nan arrival", func(_ []float64, jobs []queue.Job) { jobs[len(jobs)/2].Arrival = math.NaN() }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			badUtil := append([]float64(nil), util...)
+			badJobs := append([]queue.Job(nil), jobs...)
+			tc.mutate(badUtil, badJobs)
+			ckpt := filepath.Join(t.TempDir(), "ckpt")
+			var out bytes.Buffer
+			srv, err := NewServer(Config{Runner: mkSleepScale(t, 1), Out: &out, CheckpointPath: ckpt})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, done, err := srv.Serve(bytes.NewReader(encodeStream(t, badUtil, badJobs))); done || !errors.Is(err, queue.ErrNonFinite) {
+				t.Fatalf("Serve returned done=%v err=%v, want an error wrapping queue.ErrNonFinite", done, err)
+			}
+			if out.Len() == 0 {
+				t.Fatal("no epoch closed before the bad frame; the case does not test the output")
+			}
+			if strings.Contains(out.String(), "NaN") {
+				t.Fatalf("NDJSON output carries NaN:\n%s", out.String())
+			}
+			restored, err := RestoreServer(Config{Runner: mkSleepScale(t, 1), CheckpointPath: ckpt}, true)
+			if err != nil {
+				t.Fatalf("last checkpoint does not restore: %v", err)
+			}
+			got, done, err := restored.Serve(bytes.NewReader(encodeStream(t, util, jobs)))
+			if err != nil || !done {
+				t.Fatal(done, err)
+			}
+			if got.Jobs != want.Jobs || got.Energy != want.Energy || got.MeanResponse != want.MeanResponse ||
+				got.MeanFrequency != want.MeanFrequency || got.Duration != want.Duration {
+				t.Fatalf("restored run diverges from the clean run:\n got %+v\nwant %+v", got, want)
+			}
+		})
 	}
 }

@@ -567,7 +567,7 @@ func FeedWire(w *WireWriter, src StreamSource, slots SlotFeed, slotSeconds float
 
 // Multi-server extension (paper §7 future work).
 type (
-	// Farm is a cluster of identical single-server queues.
+	// Farm is a cluster of single-server queues behind a dispatcher.
 	Farm = farm.Farm
 	// FarmResult aggregates a farm run.
 	FarmResult = farm.Result
@@ -576,18 +576,10 @@ type (
 	// Preassigner marks dispatchers whose routing is independent of server
 	// state; RunFarm simulates their servers in parallel.
 	Preassigner = farm.Preassigner
-	// VirtualRouter marks state-dependent dispatchers (JSQ) that can route
-	// against a lightweight per-server availability shadow, unlocking the
+	// Router marks state-dependent dispatchers (JSQ, PowerOfD,
+	// LeastWorkLeft) that route against a per-server shadow, unlocking the
 	// time-sliced parallel mode of RunFarmSource.
-	VirtualRouter = farm.VirtualRouter
-	// AnchoredRouter marks VirtualRouters (LeastWorkLeft) whose shadow
-	// routing also tracks per-server idle anchors, so wake-up pricing stays
-	// exact across mid-run config switches taken during an idle period.
-	AnchoredRouter = farm.AnchoredRouter
-	// ConfigRouter marks AnchoredRouters (LeastWorkLeft) that price each
-	// server from its own live configuration, which heterogeneous fleets —
-	// per-server policies — require for exact routing.
-	ConfigRouter = farm.ConfigRouter
+	Router = farm.Router
 	// FarmDispatchOptions tunes RunFarmSource's streaming dispatch loop,
 	// including the persistent worker-pool bound of the parallel mode
 	// (Workers; 0 uses the whole GOMAXPROCS-sized pool) and the
@@ -599,7 +591,7 @@ type (
 	// RoundRobin, RandomDispatch, JSQ, PowerOfD and LeastWorkLeft are the
 	// provided dispatchers. PowerOfD samples D servers and joins the least
 	// backlogged; LeastWorkLeft routes to the earliest completion,
-	// wake-up latency included. Both are VirtualRouters, so they ride the
+	// wake-up latency included. Both are Routers, so they ride the
 	// time-sliced parallel mode bit-identically to sequential dispatch —
 	// JSQ and LeastWorkLeft through an O(log k) routing index there.
 	RoundRobin     = farm.RoundRobin
@@ -631,7 +623,7 @@ func RunFarmSources(cfg SimConfig, srcs []JobSource) (FarmResult, error) {
 // instants — JSQ sees accurate queue depths — without the stream ever being
 // materialized. opts.Parallel enables the time-sliced parallel mode
 // (bit-identical to the sequential dispatch) for dispatchers implementing
-// Preassigner or VirtualRouter.
+// Preassigner or Router.
 func RunFarmSource(k int, cfg SimConfig, disp Dispatcher, src JobSource, opts FarmDispatchOptions) (FarmResult, error) {
 	return farm.DispatchSource(k, cfg, disp, src, opts)
 }
