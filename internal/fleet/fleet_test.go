@@ -3,7 +3,6 @@ package fleet
 import (
 	"math/rand"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"sleepscale/internal/colstore"
@@ -74,82 +73,6 @@ func runnerCfg(tr *trace.Trace, strat core.Strategy, seed int64) core.RunnerConf
 		Predictor:    predict.NewNaivePrevious(),
 		Strategy:     strat,
 		Seed:         seed,
-	}
-}
-
-// TestCoordinatorSharedMatchesRunFarmSource pins the tentpole equivalence:
-// a shared-mode coordinator with no quorum and no parking must reproduce
-// core.RunFarmSource bit for bit — every epoch record, every aggregate —
-// across seeds, fleet sizes and dispatchers, with an RNG-consuming strategy
-// so the decision stream itself is compared.
-func TestCoordinatorSharedMatchesRunFarmSource(t *testing.T) {
-	tr := flatTrace(12, 0.3)
-	cases := []struct {
-		k      int
-		lambda float64
-		disp   func() farm.Dispatcher
-		name   string
-	}{
-		{1, 5, func() farm.Dispatcher { return farm.JSQ{} }, "jsq"},
-		{7, 35, func() farm.Dispatcher { return farm.JSQ{} }, "jsq"},
-		{7, 35, func() farm.Dispatcher { return &farm.RoundRobin{} }, "rr"},
-		{7, 35, func() farm.Dispatcher { return &farm.LeastWorkLeft{} }, "lwl"},
-		{1000, 2000, func() farm.Dispatcher { return farm.JSQ{} }, "jsq"},
-	}
-	for _, tc := range cases {
-		for _, seed := range []int64{1, 2} {
-			jobs := fleetJobs(int(tc.lambda*10), tc.lambda, 5, seed+10)
-			strat := newRngStrategy()
-
-			want, err := core.RunFarmSource(runnerCfg(tr, strat, seed), tc.k, tc.disp(), stream.Slice(jobs))
-			if err != nil {
-				t.Fatalf("k=%d %s seed=%d farm runner: %v", tc.k, tc.name, seed, err)
-			}
-
-			coord, err := New(Config{
-				Servers:      tc.k,
-				FreqExponent: 1,
-				Profile:      power.Xeon(),
-				Trace:        tr,
-				EpochSlots:   4,
-				Strategy:     strat,
-				Predictor:    predict.NewNaivePrevious(),
-				Seed:         seed,
-				Dispatcher:   tc.disp(),
-			})
-			if err != nil {
-				t.Fatalf("k=%d %s seed=%d new: %v", tc.k, tc.name, seed, err)
-			}
-			got, err := coord.Run(stream.Slice(jobs))
-			if err != nil {
-				t.Fatalf("k=%d %s seed=%d run: %v", tc.k, tc.name, seed, err)
-			}
-
-			if got.Jobs != want.Jobs || got.MeanResponse != want.MeanResponse ||
-				got.P95Response != want.P95Response || got.AvgPower != want.AvgPower ||
-				got.Energy != want.Energy || got.Duration != want.Duration ||
-				got.MeanFrequency != want.MeanFrequency {
-				t.Fatalf("k=%d %s seed=%d aggregates diverge:\n got %+v\nwant %+v",
-					tc.k, tc.name, seed, got.RunReport, want.RunReport)
-			}
-			if !reflect.DeepEqual(got.PlanEpochs, want.PlanEpochs) {
-				t.Fatalf("k=%d %s seed=%d plan epochs %v != %v", tc.k, tc.name, seed, got.PlanEpochs, want.PlanEpochs)
-			}
-			if len(got.Epochs) != len(want.Epochs) {
-				t.Fatalf("k=%d %s seed=%d epoch count %d != %d", tc.k, tc.name, seed, len(got.Epochs), len(want.Epochs))
-			}
-			for i := range got.Epochs {
-				if !reflect.DeepEqual(got.Epochs[i], want.Epochs[i]) {
-					t.Fatalf("k=%d %s seed=%d epoch %d diverges:\n got %+v\nwant %+v",
-						tc.k, tc.name, seed, i, got.Epochs[i], want.Epochs[i])
-				}
-			}
-			for i, fe := range got.FleetEpochs {
-				if fe.Active != tc.k || fe.Parked != 0 || fe.Unparked != 0 {
-					t.Fatalf("k=%d %s seed=%d epoch %d: unexpected fleet dims %+v", tc.k, tc.name, seed, i, fe)
-				}
-			}
-		}
 	}
 }
 
