@@ -15,24 +15,26 @@
 // adds the time-sliced parallel simulation on the persistent worker pool —
 // bit-identical to the sequential dispatch. In that mode jsq and lwl route
 // through an O(log k) index over the availability shadow, as they do in
-// -coordinate runs, whose quorum and per-server policies give servers
-// different configurations. Outside -coordinate, -linear falls back to the
-// Θ(k) linear scan (identical results; the flag exists for A/B timing at
-// large k). Dispatchers: jsq, rr, random, pd<d> (power-of-d choices) and
-// lwl (least work left, wake-aware).
+// -trace runs, where a quorum or per-server policies give servers different
+// configurations. -linear falls back to the Θ(k) linear scan (identical
+// results; the flag exists for A/B timing at large k and does not reach
+// -trace runs). Dispatchers: jsq, rr, random, pd<d> (power-of-d choices)
+// and lwl (least work left, wake-aware).
 //
 // With -trace the farm instead runs the epoch-policy loop over a
-// utilization trace (synthetic name, CSV or columnar path), and -epochs-out
-// appends each size's per-epoch records to a column file for cmd/colq:
+// utilization trace (synthetic name, CSV or columnar path) through the
+// fleet coordinator in shared mode — one fleet-wide policy per epoch — and
+// -epochs-out appends each size's per-epoch records to a column file for
+// cmd/colq:
 //
 //	farmsim -trace email-store -sizes 2,4 -epochs-out epochs.col
 //
-// Adding -coordinate upgrades the trace run to the fleet coordinator:
-// per-server predictors and policy decisions, an optional -quorum staggered
-// sleep rotation (that many active servers always no deeper than C1), and
-// -park horizontal scaling (surplus servers drained, deep-slept and removed
-// from routing). -epochs-out then appends the fleet epoch-log schema —
-// per-epoch records zipped with active/parked/shallow/unparked rollups:
+// Adding -coordinate switches the coordinator to per-server predictors and
+// policy decisions, with an optional -quorum staggered sleep rotation (that
+// many active servers always no deeper than C1) and -park horizontal
+// scaling (surplus servers drained, deep-slept and removed from routing).
+// -epochs-out then appends the fleet epoch-log schema — per-epoch records
+// zipped with active/parked/shallow/unparked rollups:
 //
 //	farmsim -trace email-store -sizes 8 -coordinate -quorum 2 -park
 //
@@ -76,7 +78,7 @@ func main() {
 		traceArg   = flag.String("trace", "", "run the epoch-policy farm over this utilization trace (email-store, file-server, or a CSV/columnar path) instead of the stationary sweep")
 		epochT     = flag.Int("T", 5, "with -trace: trace slots per policy epoch")
 		epochsOut  = flag.String("epochs-out", "", "with -trace: append per-epoch records to this column file (query with colq)")
-		coordinate = flag.Bool("coordinate", false, "with -trace: run the fleet coordinator (per-server predictors and policies) instead of the shared epoch loop")
+		coordinate = flag.Bool("coordinate", false, "with -trace: per-server predictors and policies instead of one fleet-wide policy per epoch")
 		quorum     = flag.Int("quorum", 0, "with -coordinate: rotate deep sleep so this many active servers always stay no deeper than C1")
 		park       = flag.Bool("park", false, "with -coordinate: park surplus servers (drain, deep-sleep, remove from routing)")
 		faultsArg  = flag.String("faults", "", "with -coordinate: inject the crash/repair schedule in this file (\"<time> <server> crash|repair\" per line)")
@@ -202,9 +204,6 @@ func (fc fleetFlags) buildFaults(k int, horizon float64, seed int64) (sleepscale
 	if !script && !renewal {
 		return nil, nil
 	}
-	if !fc.coordinate {
-		return nil, fmt.Errorf("-faults and -mtbf/-mttr need -coordinate")
-	}
 	if script && renewal {
 		return nil, fmt.Errorf("-faults and -mtbf/-mttr are mutually exclusive")
 	}
@@ -227,8 +226,8 @@ func (fc fleetFlags) buildFaults(k int, horizon float64, seed int64) (sleepscale
 	}, seed)
 }
 
-// runTraceFarm sweeps farm sizes through the epoch-policy runner over a
-// utilization trace — or, with -coordinate, through the fleet coordinator —
+// runTraceFarm sweeps farm sizes through the fleet coordinator over a
+// utilization trace — in shared mode, or with -coordinate per server —
 // optionally appending every size's per-epoch records to one columnar log
 // (runs are distinguished by append order — epoch indices restart at 0 per
 // run).
@@ -254,16 +253,8 @@ func runTraceFarm(sizes []int, traceName string, epochT int, dispatch string, se
 		return err
 	}
 	pol := sleepscale.Policy{Frequency: 1, Plan: sleepscale.SingleState(sleepscale.DeepSleep)}
-	cfg := sleepscale.RunnerConfig{
-		Stats:        stats,
-		FreqExponent: spec.FreqExponent,
-		Profile:      sleepscale.Xeon(),
-		Trace:        tr,
-		EpochSlots:   epochT,
-		Predictor:    sleepscale.NewNaivePredictor(),
-		Strategy:     sleepscale.NewStaticStrategy(pol, "static"),
-		Seed:         seed,
-	}
+	strategy := sleepscale.NewStaticStrategy(pol, "static")
+	pred := sleepscale.NewNaivePredictor()
 	fmt.Printf("trace=%s (%d slots) T=%d dispatch=%s coordinate=%v\n\n", traceName, tr.Len(), epochT, dispatch, fc.coordinate)
 	if fc.coordinate {
 		fmt.Printf("%6s  %10s  %10s  %12s  %8s  %8s  %8s\n", "k", "E[R] (s)", "P95 (s)", "E[P] (W)", "epochs", "EP", "jobs/kJ")
@@ -279,61 +270,56 @@ func runTraceFarm(sizes []int, traceName string, epochT int, dispatch string, se
 		if err != nil {
 			return err
 		}
+		cfg := sleepscale.FleetConfig{
+			Servers:      k,
+			FreqExponent: spec.FreqExponent,
+			Profile:      sleepscale.Xeon(),
+			Trace:        tr,
+			EpochSlots:   epochT,
+			Strategy:     strategy,
+			Predictor:    pred,
+			Seed:         seed,
+			Dispatcher:   disp,
+		}
 		if fc.coordinate {
-			faults, err := fc.buildFaults(k, tr.Duration(), seed)
-			if err != nil {
+			if cfg.Faults, err = fc.buildFaults(k, tr.Duration(), seed); err != nil {
 				return err
 			}
-			coord, err := sleepscale.NewFleetCoordinator(sleepscale.FleetConfig{
-				Servers:      k,
-				FreqExponent: spec.FreqExponent,
-				Profile:      sleepscale.Xeon(),
-				Trace:        tr,
-				EpochSlots:   epochT,
-				Strategy:     cfg.Strategy,
-				PerServer:    true,
-				NewPredictor: sleepscale.NewNaivePredictor,
-				Seed:         seed,
-				Dispatcher:   disp,
-				Quorum:       fc.quorum,
-				Park:         fc.park,
-				Faults:       faults,
-				Retry:        fc.retry,
-			})
-			if err != nil {
-				return err
-			}
-			rep, err := coord.Run(src)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("%6d  %10.4f  %10.4f  %12.2f  %8d  %8.4f  %8.2f\n",
-				k, rep.MeanResponse, rep.P95Response, rep.AvgPower, len(rep.Epochs),
-				rep.EnergyProportionality, rep.JobsPerJoule*1e3)
-			if faults != nil {
-				fmt.Printf("        faults: %d crashes, %d repairs; jobs: %d offered = %d completed + %d requeued + %d dropped (%d retries)\n",
-					rep.Crashes, rep.Repairs, rep.Offered, rep.Completed, rep.Requeued, rep.Dropped, rep.Retries)
-			}
+			cfg.PerServer, cfg.Predictor, cfg.NewPredictor = true, nil, sleepscale.NewNaivePredictor
+			cfg.Quorum, cfg.Park, cfg.Retry = fc.quorum, fc.park, fc.retry
+		}
+		coord, err := sleepscale.NewFleetCoordinator(cfg)
+		if err != nil {
+			return err
+		}
+		rep, err := coord.Run(src)
+		if err != nil {
+			return err
+		}
+		if !fc.coordinate {
+			fmt.Printf("%6d  %10.4f  %10.4f  %12.2f  %8d\n",
+				k, rep.MeanResponse, rep.P95Response, rep.AvgPower, len(rep.Epochs))
 			if epochsOut != "" {
-				if err := sleepscale.WriteFleetEpochLog(epochsOut, rep); err != nil {
-					return err
-				}
-			}
-			if fc.faultsOut != "" {
-				if err := sleepscale.WriteFaultLog(fc.faultsOut, rep.FaultEvents); err != nil {
+				if err := sleepscale.WriteEpochLog(epochsOut, rep.Epochs); err != nil {
 					return err
 				}
 			}
 			continue
 		}
-		rep, err := sleepscale.RunFarmEpochs(cfg, k, disp, src)
-		if err != nil {
-			return err
+		fmt.Printf("%6d  %10.4f  %10.4f  %12.2f  %8d  %8.4f  %8.2f\n",
+			k, rep.MeanResponse, rep.P95Response, rep.AvgPower, len(rep.Epochs),
+			rep.EnergyProportionality, rep.JobsPerJoule*1e3)
+		if cfg.Faults != nil {
+			fmt.Printf("        faults: %d crashes, %d repairs; jobs: %d offered = %d completed + %d requeued + %d dropped (%d retries)\n",
+				rep.Crashes, rep.Repairs, rep.Offered, rep.Completed, rep.Requeued, rep.Dropped, rep.Retries)
 		}
-		fmt.Printf("%6d  %10.4f  %10.4f  %12.2f  %8d\n",
-			k, rep.MeanResponse, rep.P95Response, rep.AvgPower, len(rep.Epochs))
 		if epochsOut != "" {
-			if err := sleepscale.WriteEpochLog(epochsOut, rep.Epochs); err != nil {
+			if err := sleepscale.WriteFleetEpochLog(epochsOut, rep); err != nil {
+				return err
+			}
+		}
+		if fc.faultsOut != "" {
+			if err := sleepscale.WriteFaultLog(fc.faultsOut, rep.FaultEvents); err != nil {
 				return err
 			}
 		}

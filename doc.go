@@ -59,8 +59,8 @@
 //     returns a SimSummary — plain scalars, safe to keep across further
 //     calls. Results that alias evaluator storage (Responses) are only
 //     valid until the next Evaluate.
-//   - Every parallel driver — Manager.Select, RunFarm, RunFarmSources and
-//     the sliced mode of RunFarmSource — executes on one process-wide
+//   - Every parallel driver — Manager.Select, RunFarm and the sliced mode
+//     of RunFarmSource — executes on one process-wide
 //     persistent worker pool (internal/par): workers start once, park
 //     between submissions, pull work from an atomic ticket counter (or own
 //     a fixed index shard with work stealing, keeping each engine on the
@@ -109,8 +109,8 @@
 //   - MergeSources, ScaleRateSource and SpliceSources compose sources into
 //     scenarios (a trace baseline plus a burst overlay, a mid-week flash
 //     crowd); Reset(seed) replays any composition deterministically.
-//   - SimulateSource and RunFarmSources are the streaming counterparts of
-//     Simulate and RunFarm (one source per server).
+//   - SimulateSource and RunFarmSource are the streaming counterparts of
+//     Simulate and RunFarm.
 //
 // CI gates the streaming loop too: BenchmarkStreamSourceSteadyState must
 // report 0 allocs/op, and BenchmarkStreamRunWeekTrace records a full 7-day
@@ -156,10 +156,12 @@
 // equivalence tests and a golden snapshot pin down across dispatchers,
 // seeds and pool sizes. Steady-state callers hold a Farm and drive
 // Reset + ServeSourceSliced + FinishSummary, whose farm-owned scratch makes
-// the whole loop allocation-free once warm; RunFarmEpochs layers the §6
-// epoch loop on top: one strategy decision per epoch applied fleet-wide,
-// farm-wide delay statistics feeding the over-provisioning guard (with
-// k = 1 it matches RunSource bit for bit).
+// the whole loop allocation-free once warm. The fleet coordinator's shared
+// mode layers the §6 epoch loop on top: one strategy decision per epoch
+// applied fleet-wide, farm-wide delay statistics feeding the
+// over-provisioning guard. At k = 1 it matches RunSource in every epoch
+// record and aggregate but MeanResponse, which the fleet re-weights as
+// (m·n)/n for RunSource's mean m.
 //
 // CI gates this path as well — BenchmarkFarmDispatchSteadyState (the
 // Reset+ServeSource loop), BenchmarkFarmDispatchParallelJSQ (the pooled
@@ -264,9 +266,11 @@
 //
 // Epochs serve through the farm's sliced driver between boundary switches
 // (heterogeneous configurations keep the O(log k) routing index, priced per
-// server; the active prefix serves as a Subfarm view), and with every dimension off
-// the coordinator is bit-identical to RunFarmEpochs — an equivalence suite
-// pins this across dispatchers, seeds and k up to 1,000. Fleet epoch and
+// server; the active servers serve through one reusable Select view). With
+// every dimension off — shared mode — the coordinator reproduces the golden
+// output of the homogeneous farm epoch loop it replaced bit for bit, across
+// dispatchers, seeds and k up to 1,000, and a k = 1 suite pins it to
+// RunSource. Fleet epoch and
 // per-server rollup logs write to the columnar store
 // (WriteFleetEpochLog/WriteFleetServerLog); cmd/farmsim -coordinate
 // (-quorum, -park) drives the coordinator from the command line, and

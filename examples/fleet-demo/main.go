@@ -1,9 +1,9 @@
 // Example fleet-demo: coordinate a 12-server fleet through one synthetic
 // email-store day three ways and compare the energy story.
 //
-// The baseline is the §6 farm loop — one SleepScale decision per epoch
-// applied fleet-wide. The coordinated runs route the same epoch cycle
-// through the fleet coordinator: first per-server policies with a staggered
+// The baseline is the coordinator's shared mode — one SleepScale decision
+// per epoch applied fleet-wide. The coordinated runs drive the same epoch
+// cycle with per-server state: first per-server policies with a staggered
 // sleep quorum (3 servers always no deeper than C1, deep sleep rotating
 // through the rest), then the same plus horizontal scaling, which parks
 // surplus servers overnight — drained, deep-slept and removed from routing —
@@ -74,18 +74,23 @@ func main() {
 	fmt.Printf("%-28s  %10s  %10s  %10s  %8s  %8s\n",
 		"run", "E[R] (s)", "E[P] (W)", "energy(MJ)", "EP", "jobs/kJ")
 
-	// Baseline: the shared §6 loop — every server runs the one decided
-	// policy, nobody parks, nothing rotates.
-	base, err := sleepscale.RunFarmEpochs(sleepscale.RunnerConfig{
-		Stats:        stats,
+	// Baseline: the coordinator's shared mode — every server runs the one
+	// decided policy, nobody parks, nothing rotates.
+	shared, err := sleepscale.NewFleetCoordinator(sleepscale.FleetConfig{
+		Servers:      servers,
 		FreqExponent: spec.FreqExponent,
 		Profile:      sleepscale.Xeon(),
 		Trace:        tr,
 		EpochSlots:   6,
-		Predictor:    sleepscale.NewNaivePredictor(),
 		Strategy:     newStrategy(),
+		Predictor:    sleepscale.NewNaivePredictor(),
 		Seed:         7,
-	}, servers, sleepscale.JSQ{}, newSource())
+		Dispatcher:   sleepscale.JSQ{},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	base, err := shared.Run(newSource())
 	if err != nil {
 		log.Fatal(err)
 	}

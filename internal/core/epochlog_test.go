@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"sleepscale/internal/colstore"
-	"sleepscale/internal/farm"
 	"sleepscale/internal/policy"
 	"sleepscale/internal/power"
 	"sleepscale/internal/stream"
@@ -49,29 +48,6 @@ func TestEpochEnergySumsToReportEnergy(t *testing.T) {
 	}
 	if busy+wake+idle <= 0 {
 		t.Fatal("no time accounted")
-	}
-}
-
-// TestFarmEpochEnergySumsToReportEnergy is the farm analogue at k = 3: epoch
-// deltas sum the whole fleet's counters.
-func TestFarmEpochEnergySumsToReportEnergy(t *testing.T) {
-	pol := policy.Policy{Frequency: 1, Plan: policy.SingleState(power.DeepSleep)}
-	tr := shortTrace(12, 0.4)
-	cfg := runnerConfig(t, &staticStrategy{pol: pol}, tr, 3)
-	src, err := cfg.Stats.NewTraceGen(tr.Utilization, tr.SlotSeconds, cfg.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := RunFarmSource(cfg, 3, farm.JSQ{}, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var energy float64
-	for _, e := range rep.Epochs {
-		energy += e.Energy
-	}
-	if math.Abs(energy-rep.Energy) > 1e-6*rep.Energy {
-		t.Fatalf("farm epoch energies sum to %g, report says %g", energy, rep.Energy)
 	}
 }
 

@@ -104,6 +104,10 @@ type loopConfig struct {
 	WindowEpochs int
 	// Seed drives the strategy's bootstrap resampling.
 	Seed int64
+	// RetainResponses keeps the engine's raw response sample for whole-run
+	// percentiles; off, responses fold into streaming moments only, so an
+	// unbounded run holds O(1) response memory (the live runner's default).
+	RetainResponses bool
 }
 
 func (c *loopConfig) validate() error {
@@ -142,9 +146,9 @@ func (c *loopConfig) validate() error {
 // slot buffer, delay sample and the ping-pong policy-phase scratch are all
 // reused across epochs.
 type epochLoop struct {
-	cfg     loopConfig
-	backend epochBackend
-	window  *eventlog.Window
+	cfg    loopConfig
+	eng    *queue.Engine // created under the first epoch's policy
+	window *eventlog.Window
 
 	decideSrc *countingSource
 	decideRng *rand.Rand
@@ -180,12 +184,9 @@ type epochLoop struct {
 	phaseBuf [2][]queue.SleepPhase
 }
 
-func newEpochLoop(cfg loopConfig, backend epochBackend) (*epochLoop, error) {
+func newEpochLoop(cfg loopConfig) (*epochLoop, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
-	}
-	if backend == nil {
-		return nil, fmt.Errorf("core: epoch loop needs a backend")
 	}
 	windowEpochs := cfg.WindowEpochs
 	if windowEpochs <= 0 {
@@ -198,7 +199,6 @@ func newEpochLoop(cfg loopConfig, backend epochBackend) (*epochLoop, error) {
 	src := newCountingSource(cfg.Seed + decideSeedSalt)
 	return &epochLoop{
 		cfg:        cfg,
-		backend:    backend,
 		window:     window,
 		decideSrc:  src,
 		decideRng:  rand.New(src),
@@ -229,7 +229,7 @@ func (l *epochLoop) openEpoch() error {
 		return fmt.Errorf("core: epoch %d policy %v: %w", l.epoch, pol, err)
 	}
 	*buf = qcfg.Phases // retain growth for reuse
-	if err := l.backend.applyPolicy(epochStart, qcfg); err != nil {
+	if err := l.install(epochStart, qcfg); err != nil {
 		return fmt.Errorf("core: epoch %d switch: %w", l.epoch, err)
 	}
 	l.curPol, l.curPred = pol, pred
@@ -237,6 +237,21 @@ func (l *epochLoop) openEpoch() error {
 	l.epochDelays.Reset()
 	l.epochJobs = l.epochJobs[:0]
 	l.rhos = l.rhos[:0]
+	return nil
+}
+
+// install puts the epoch's configuration in force at its start instant; the
+// first call creates the engine, idle at time 0 under it.
+func (l *epochLoop) install(epochStart float64, qcfg queue.Config) error {
+	if l.eng != nil {
+		return l.eng.SetConfigAt(epochStart, qcfg)
+	}
+	eng, err := queue.NewEngine(qcfg, 0)
+	if err != nil {
+		return err
+	}
+	eng.SetRetainResponses(l.cfg.RetainResponses)
+	l.eng = eng
 	return nil
 }
 
@@ -280,7 +295,7 @@ func (l *epochLoop) OfferSlot(rho float64) (rec EpochRecord, closed bool, err er
 		if j.Arrival >= slotEnd {
 			break
 		}
-		resp, err := l.backend.process(j)
+		resp, err := l.eng.Process(j)
 		if err != nil {
 			return EpochRecord{}, false, fmt.Errorf("core: epoch %d job %d: %w", l.epoch, l.jobsServed, err)
 		}
@@ -302,7 +317,7 @@ func (l *epochLoop) OfferSlot(rho float64) (rec EpochRecord, closed bool, err er
 }
 
 // closeEpoch runs the bottom of the epoch cycle: log the epoch's jobs,
-// feed the predictor, summarize delays and difference the backend totals.
+// feed the predictor, summarize delays and difference the engine totals.
 func (l *epochLoop) closeEpoch() EpochRecord {
 	epochStart := float64(l.slot-len(l.rhos)) * l.cfg.SlotSeconds
 	epochEnd := float64(l.slot) * l.cfg.SlotSeconds
@@ -315,7 +330,7 @@ func (l *epochLoop) closeEpoch() EpochRecord {
 	l.lastJobs = l.epochDelays.Count()
 	l.lastMean = l.epochDelays.Mean()
 	l.lastP95 = l.epochDelays.PercentileNearestRank(95)
-	tot := l.backend.totalsAt(epochEnd)
+	tot := l.eng.TotalsAt(epochEnd)
 	rec := EpochRecord{
 		Index: l.epoch, Predicted: l.curPred, Realized: realized,
 		Policy: l.curPol, Jobs: l.lastJobs, MeanDelay: l.lastMean, P95Delay: l.lastP95,

@@ -52,6 +52,8 @@ func (c LiveConfig) loopConfig() loopConfig {
 		Strategy:     c.Strategy,
 		WindowEpochs: c.WindowEpochs,
 		Seed:         c.Seed,
+
+		RetainResponses: c.RetainResponses,
 	}
 }
 
@@ -75,20 +77,18 @@ func (c LiveConfig) windowEpochs() int {
 // the machine), and a runner restored from State continues bit-identically
 // to one that never stopped.
 type LiveRunner struct {
-	cfg     LiveConfig
-	loop    *epochLoop
-	backend *engineBackend
+	cfg  LiveConfig
+	loop *epochLoop
 }
 
 // NewLiveRunner validates cfg and returns a runner positioned before the
 // first slot.
 func NewLiveRunner(cfg LiveConfig) (*LiveRunner, error) {
-	backend := &engineBackend{discardResponses: !cfg.RetainResponses}
-	loop, err := newEpochLoop(cfg.loopConfig(), backend)
+	loop, err := newEpochLoop(cfg.loopConfig())
 	if err != nil {
 		return nil, err
 	}
-	return &LiveRunner{cfg: cfg, loop: loop, backend: backend}, nil
+	return &LiveRunner{cfg: cfg, loop: loop}, nil
 }
 
 // OfferJob hands the runner one arriving job, rejected with the runner
@@ -140,10 +140,10 @@ func (r *LiveRunner) Finish() (rec EpochRecord, closed bool, report RunReport, e
 		PlanEpochs: make(map[string]int),
 	}
 	r.loop.fillReport(&report)
-	if r.backend.eng == nil {
+	if r.loop.eng == nil {
 		return rec, closed, report, nil
 	}
-	res, err := r.backend.eng.Finish(r.loop.duration())
+	res, err := r.loop.eng.Finish(r.loop.duration())
 	if err != nil {
 		return EpochRecord{}, false, RunReport{}, err
 	}
@@ -249,7 +249,7 @@ func (r *LiveRunner) State() (*LiveState, error) {
 	for _, name := range st.PlanNames {
 		st.PlanCounts = append(st.PlanCounts, int64(l.planEpochs[name]))
 	}
-	if r.backend.eng != nil {
+	if l.eng != nil {
 		st.HasEngine = true
 		st.CurFrequency = l.curPol.Frequency
 		st.CurPlanName = l.curPol.Plan.Name
@@ -258,7 +258,7 @@ func (r *LiveRunner) State() (*LiveState, error) {
 				CPU: int(ph.State.CPU), Platform: int(ph.State.Platform), Enter: ph.Enter,
 			})
 		}
-		st.Engine = r.backend.eng.State()
+		st.Engine = l.eng.State()
 	}
 	return st, nil
 }
@@ -334,7 +334,7 @@ func RestoreLiveRunner(cfg LiveConfig, st *LiveState) (*LiveRunner, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.backend.eng = eng
+		l.eng = eng
 		l.curPol = pol
 	}
 	return r, nil

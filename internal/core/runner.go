@@ -8,7 +8,6 @@ import (
 	"sleepscale/internal/policy"
 	"sleepscale/internal/power"
 	"sleepscale/internal/predict"
-	"sleepscale/internal/queue"
 	"sleepscale/internal/stream"
 	"sleepscale/internal/trace"
 	"sleepscale/internal/workload"
@@ -85,13 +84,13 @@ type EpochRecord struct {
 	// responses — the figure the over-provisioning guard keys off.
 	P95Delay float64
 	// Energy is the epoch's energy in joules, taken as the delta of the
-	// backend's running totals at the epoch boundary. Idle spanning the
+	// engine's running totals at the epoch boundary. Idle spanning the
 	// boundary is split exactly at it; service energy counts in the epoch
 	// that accepted the job. Epoch energies therefore sum to the report's
 	// Energy.
 	Energy float64
 	// BusyTime, WakeTime and IdleTime are the epoch's deltas of the
-	// corresponding totals (farm runs sum them across servers).
+	// corresponding totals (fleet runs sum them across servers).
 	BusyTime float64
 	WakeTime float64
 	IdleTime float64
@@ -199,11 +198,11 @@ func RunSource(cfg RunnerConfig, src stream.Source) (RunReport, error) {
 		Predictor:  cfg.Predictor.Name(),
 		PlanEpochs: make(map[string]int),
 	}
-	backend := &engineBackend{}
-	if err := runEpochs(cfg, src, backend, &report); err != nil {
+	loop, err := runEpochs(cfg, src, &report)
+	if err != nil {
 		return RunReport{}, err
 	}
-	res, err := backend.eng.Finish(cfg.Trace.Duration())
+	res, err := loop.eng.Finish(cfg.Trace.Duration())
 	if err != nil {
 		return RunReport{}, err
 	}
@@ -216,73 +215,32 @@ func RunSource(cfg RunnerConfig, src stream.Source) (RunReport, error) {
 	return report, nil
 }
 
-// epochBackend abstracts what the epoch loop drives: one engine (RunSource)
-// or a dispatched farm (RunFarmSource). applyPolicy installs the epoch's
-// configuration — the first call creates the backend — and process serves
-// one job, returning its response time. totalsAt reports the cumulative
-// counters as of time t (idle priced to t without billing it), which the
-// loop differences at epoch boundaries for per-epoch energy accounting; it
-// is only called after the first applyPolicy.
-type epochBackend interface {
-	applyPolicy(epochStart float64, qcfg queue.Config) error
-	process(j queue.Job) (float64, error)
-	totalsAt(t float64) queue.Snapshot
-}
-
-// engineBackend is the single-server backend. discardResponses (the live
-// runner's default) folds responses into streaming moments on creation, so
-// an unbounded run holds O(1) response memory.
-type engineBackend struct {
-	eng              *queue.Engine
-	discardResponses bool
-}
-
-func (b *engineBackend) applyPolicy(epochStart float64, qcfg queue.Config) error {
-	if b.eng == nil {
-		eng, err := queue.NewEngine(qcfg, 0)
-		if err != nil {
-			return err
-		}
-		if b.discardResponses {
-			eng.SetRetainResponses(false)
-		}
-		b.eng = eng
-		return nil
-	}
-	return b.eng.SetConfigAt(epochStart, qcfg)
-}
-
-func (b *engineBackend) process(j queue.Job) (float64, error) { return b.eng.Process(j) }
-
-func (b *engineBackend) totalsAt(t float64) queue.Snapshot { return b.eng.TotalsAt(t) }
-
-// runEpochs is the shared §6 epoch loop behind RunSource and RunFarmSource:
-// it replays the trace slot by slot through the incremental epochLoop
-// machine, offering each slot's arrivals from the chunk cursor and then the
-// slot's realized utilization. The machine — the same one the live serving
-// subsystem drives from sockets — predicts, decides, installs the policy on
-// the backend, serves, logs the window and feeds the predictor, so batch
-// and live epoch accounting (including the k = 1 bit-for-bit equivalence
-// the farm runner guarantees) can never drift. It fills report.Epochs,
-// PlanEpochs and MeanFrequency; closing out the backend and the aggregate
-// report fields is the caller's job. cfg must already have passed
-// validateRunner.
-func runEpochs(cfg RunnerConfig, src stream.Source, backend epochBackend, report *RunReport) error {
+// runEpochs is RunSource's epoch loop: it replays the trace slot by slot
+// through the incremental epochLoop machine, offering each slot's arrivals
+// from the chunk cursor and then the slot's realized utilization. The
+// machine — the same one the live serving subsystem drives from sockets —
+// predicts, decides, installs the policy on its engine, serves, logs the
+// window and feeds the predictor, so batch and live epoch accounting can
+// never drift. It fills report.Epochs, PlanEpochs and MeanFrequency and
+// returns the machine; closing out its engine and the aggregate report
+// fields is the caller's job. cfg must already have passed validateRunner.
+func runEpochs(cfg RunnerConfig, src stream.Source, report *RunReport) (*epochLoop, error) {
 	if src == nil {
-		return fmt.Errorf("core: runner needs a job source")
+		return nil, fmt.Errorf("core: runner needs a job source")
 	}
 	loop, err := newEpochLoop(loopConfig{
-		SlotSeconds:  cfg.Trace.SlotSeconds,
-		EpochSlots:   cfg.EpochSlots,
-		FreqExponent: cfg.FreqExponent,
-		Profile:      cfg.Profile,
-		Predictor:    cfg.Predictor,
-		Strategy:     cfg.Strategy,
-		WindowEpochs: cfg.WindowEpochs,
-		Seed:         cfg.Seed,
-	}, backend)
+		SlotSeconds:     cfg.Trace.SlotSeconds,
+		EpochSlots:      cfg.EpochSlots,
+		FreqExponent:    cfg.FreqExponent,
+		Profile:         cfg.Profile,
+		Predictor:       cfg.Predictor,
+		Strategy:        cfg.Strategy,
+		WindowEpochs:    cfg.WindowEpochs,
+		Seed:            cfg.Seed,
+		RetainResponses: true,
+	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	slotSec := cfg.Trace.SlotSeconds
@@ -303,13 +261,13 @@ func runEpochs(cfg RunnerConfig, src stream.Source, backend epochBackend, report
 				break
 			}
 			if err := loop.OfferJob(j); err != nil {
-				return err
+				return nil, err
 			}
 			cursor.Advance()
 		}
 		rec, closed, err := loop.OfferSlot(cfg.Trace.Utilization[s])
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if closed {
 			report.Epochs = append(report.Epochs, rec)
@@ -317,17 +275,17 @@ func runEpochs(cfg RunnerConfig, src stream.Source, backend epochBackend, report
 	}
 	rec, closed, err := loop.FinishEpoch()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if closed {
 		report.Epochs = append(report.Epochs, rec)
 	}
 
 	if err := stream.Err(src); err != nil {
-		return fmt.Errorf("core: job source: %w", err)
+		return nil, fmt.Errorf("core: job source: %w", err)
 	}
 	loop.fillReport(report)
-	return nil
+	return loop, nil
 }
 
 // ClampRho clamps a utilization forecast to the runner's working range

@@ -2,6 +2,7 @@ package farm
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"sleepscale/internal/par"
@@ -360,8 +361,10 @@ func (f *Farm) sliced(sliceJobs int) *slicedState {
 // the same order: results are bit-identical to the sequential dispatch for
 // every slice size and pool size. JSQ and LeastWorkLeft route through the
 // O(log k) index whether the servers share one configuration or run their
-// own (see LeastWorkLeft for its class limit); a non-finite job ends the
-// call with queue.ErrNonFinite after the jobs ahead of it are served.
+// own (see LeastWorkLeft for its class limit). As in ServeSource, each job
+// must pass queue.ValidateJob against the previous job of the call; one that
+// fails ends the call with its sentinel after the jobs ahead of it are
+// served.
 //
 // All slicing scratch is farm-owned and reused, so after the first call a
 // Reset + ServeSourceSliced cycle allocates nothing. Deferred source errors
@@ -419,11 +422,12 @@ func (f *Farm) ServeSourceSliced(src queue.JobSource, opts DispatchOptions) (int
 	recording := f.recResp != nil || f.recSrv != nil
 
 	served := 0
+	last := math.Inf(-1)
 	for {
-		// Fill the next slice from the chunk cursor. A non-finite job would
-		// poison the shadow (and the index's tree keys), so the slice ends
-		// before it: the jobs ahead of it are served, then it is rejected as
-		// Engine.Process would reject it.
+		// Fill the next slice from the chunk cursor. An invalid job would
+		// poison the shadow (and the index's tree keys) or slip past the
+		// per-engine order checks, so the slice ends before it: the jobs
+		// ahead of it are served, then it is rejected.
 		slice := sl.slice[:0]
 		var bad error
 		for len(slice) < sliceJobs {
@@ -431,10 +435,11 @@ func (f *Farm) ServeSourceSliced(src queue.JobSource, opts DispatchOptions) (int
 			if !ok {
 				break
 			}
-			if !j.Finite() {
-				bad = fmt.Errorf("farm: job %d: %w: arrival %g, size %g", f.recBase+len(slice), queue.ErrNonFinite, j.Arrival, j.Size)
+			if err := queue.ValidateJob(j, last); err != nil {
+				bad = fmt.Errorf("farm: job %d: %w", f.recBase+len(slice), err)
 				break
 			}
+			last = j.Arrival
 			slice = append(slice, j)
 			sl.cursor.Advance()
 		}

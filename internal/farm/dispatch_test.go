@@ -681,35 +681,32 @@ func TestRecordServeStreamOrder(t *testing.T) {
 	}
 }
 
-// TestSubfarmPrefixServes: a prefix Subfarm routes only within the prefix
-// and shares engine state with its parent.
-func TestSubfarmPrefixServes(t *testing.T) {
-	jobs := expJobs(2000, 8, 5, 19)
-	f, err := New(4, testCfg(), JSQ{})
-	if err != nil {
-		t.Fatal(err)
+// TestFarmRejectsOutOfOrderStream: a stream whose third arrival precedes the
+// second is out of order farm-wide even though every server sees its own
+// jobs in order (each of the three jobs lands on a different server), so
+// only a check across the whole stream can catch it. Every entry point must
+// reject it with queue.ErrOutOfOrder.
+func TestFarmRejectsOutOfOrderStream(t *testing.T) {
+	jobs := []queue.Job{{Arrival: 4.5, Size: 3}, {Arrival: 6, Size: 0.1}, {Arrival: 5, Size: 0.1}}
+	const k = 3
+	entries := []struct {
+		name string
+		run  func(Dispatcher) (Result, error)
+	}{
+		{"Run", func(d Dispatcher) (Result, error) { return Run(k, testCfg(), d, jobs) }},
+		{"DispatchSource", func(d Dispatcher) (Result, error) {
+			return DispatchSource(k, testCfg(), d, &sliceSource{jobs: jobs}, DispatchOptions{})
+		}},
+		{"DispatchSource-parallel", func(d Dispatcher) (Result, error) {
+			return DispatchSource(k, testCfg(), d, &sliceSource{jobs: jobs}, DispatchOptions{Parallel: true})
+		}},
 	}
-	sub, err := f.Subfarm(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := make([]int, len(jobs))
-	sub.RecordServe(nil, srv)
-	if _, err := sub.ServeSourceSliced(&sliceSource{jobs: jobs}, DispatchOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range srv {
-		if s > 1 {
-			t.Fatalf("job %d routed to server %d outside the 2-prefix", i, s)
+	for _, e := range entries {
+		for _, d := range []Dispatcher{JSQ{}, &RoundRobin{}} {
+			res, err := e.run(d)
+			if !errors.Is(err, queue.ErrOutOfOrder) {
+				t.Errorf("%s %s: err = %v (jobs %d), want ErrOutOfOrder", e.name, d.Name(), err, res.Jobs)
+			}
 		}
-	}
-	if f.Server(0).FreeAt() == 0 || f.Server(2).FreeAt() != 0 {
-		t.Fatal("subfarm serving did not share prefix engines (or leaked past the prefix)")
-	}
-	if _, err := f.Subfarm(0); err == nil {
-		t.Error("subfarm size 0 accepted")
-	}
-	if _, err := f.Subfarm(5); err == nil {
-		t.Error("oversized subfarm accepted")
 	}
 }

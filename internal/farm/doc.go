@@ -28,18 +28,22 @@
 //
 // # Drivers
 //
-// Three drivers cover the materialized/streamed × preassigned/dispatched
-// matrix:
+// Two drivers cover the materialized and the streamed job stream:
 //
 //   - Run dispatches a fully materialized, sorted job stream (parallel when
 //     the dispatcher is a Preassigner, sequential otherwise).
-//   - RunSources runs one server per source — routing decided by
-//     construction — with servers simulating in parallel.
 //   - DispatchSource is the streaming k-way dispatch loop: jobs are pulled
 //     from any queue.JobSource in bounded chunks and routed through the
 //     dispatcher at their arrival instants, advancing the k engines in
 //     virtual-time order so JSQ sees accurate queue depths without the
 //     stream ever being materialized.
+//
+// Both check the farm-wide stream, which no engine can: each sees only the
+// jobs routed to it, so a late arrival sent to an idle server would pass
+// every engine's own order check. Every job must pass queue.ValidateJob
+// against the previous job of the call (in ServeSource, ServeSourceSliced
+// and Run alike), and the first that fails ends the call with its queue
+// sentinel.
 //
 // # Time-sliced parallel dispatch and its determinism contract
 //
@@ -78,9 +82,8 @@
 //
 // # Persistent worker pool and steady-state reuse
 //
-// Every parallel path in the package — Run's preassigned fan-out,
-// RunSources' per-server workers, and each slice of the parallel dispatch —
-// executes on the process-wide persistent pool of internal/par: workers are
+// Every parallel path in the package — Run's preassigned fan-out and each
+// slice of the parallel dispatch — executes on the process-wide persistent pool of internal/par: workers are
 // started once and parked between submissions, and the pool's reusable
 // barrier replaces the per-call (previously per-slice) sync.WaitGroup
 // churn. The sliced driver uses par.Pool.RunSharded, giving each executor a
@@ -124,8 +127,9 @@
 // measurements), so the driver routes through Route instead; Route stays
 // the reference DispatchOptions.LinearRouting selects.
 //
-// Farm.Subfarm returns a prefix view sharing the parent's engines and
-// scratch, so a coordinator can serve a shrunken active set without
-// rebuilding state — parked suffix servers keep accruing sleep residency
-// but receive no work.
+// Farm.Select returns a compact view over an ascending subset of the
+// servers, sharing the parent's engines, so a coordinator can serve a
+// shrunken active set without rebuilding state — parked or crashed servers
+// keep their engines (parked ones accruing sleep residency) but receive no
+// work. One view is refilled in place as the subset changes.
 package farm

@@ -2,6 +2,7 @@ package farm
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 
@@ -150,17 +151,26 @@ func (f *Farm) Reset(cfg queue.Config) error {
 // served. This is the sequential streaming dispatch loop: engines advance in
 // virtual-time (arrival) order, so state-dependent dispatchers like JSQ see
 // accurate queue depths, and peak job-buffer memory is one farm-owned chunk
-// however long the stream. Deferred source errors are the caller's to check
-// (DispatchSource does).
+// however long the stream. Each job must pass queue.ValidateJob against the
+// previous job of the call — the farm-wide arrival order no single engine
+// can check, since each sees only the jobs routed to it; a job that fails
+// ends the call with the jobs ahead of it served. Deferred source errors are
+// the caller's to check (DispatchSource does).
 func (f *Farm) ServeSource(src queue.JobSource) (int, error) {
 	if f.chunk == nil {
 		f.chunk = make([]queue.Job, stream.DefaultChunk)
 	}
 	served := 0
+	last := math.Inf(-1)
 	for {
 		n, ok := src.Next(f.chunk)
 		for i := 0; i < n; i++ {
-			if _, _, err := f.Process(f.chunk[i]); err != nil {
+			j := f.chunk[i]
+			if err := queue.ValidateJob(j, last); err != nil {
+				return served + i, fmt.Errorf("farm: job %d: %w", served+i, err)
+			}
+			last = j.Arrival
+			if _, _, err := f.Process(j); err != nil {
 				return served + i, fmt.Errorf("farm: job %d: %w", served+i, err)
 			}
 		}
@@ -174,27 +184,16 @@ func (f *Farm) ServeSource(src queue.JobSource) (int, error) {
 // Server exposes server i's engine (for per-server policy switches).
 func (f *Farm) Server(i int) *queue.Engine { return f.engines[i] }
 
-// Subfarm returns a view over the first n servers: it shares the parent's
-// engines and dispatcher — dispatcher state (a round-robin cursor, a random
-// source) advances across parent and view alike — with its own job counters
-// and serving scratch. Serving through the view routes over servers [0, n)
-// only, which is how the fleet coordinator removes parked servers from
-// routing (the active set is always a prefix); the parent still finishes and
-// reports all k engines. Views stay valid across the parent's Reset.
-func (f *Farm) Subfarm(n int) (*Farm, error) {
-	if n < 1 || n > len(f.engines) {
-		return nil, fmt.Errorf("farm: subfarm size %d of a %d-server farm", n, len(f.engines))
-	}
-	return &Farm{engines: f.engines[:n], disp: f.disp, perSrv: make([]int, n)}, nil
-}
-
 // Select builds (or refills) a compact view over an arbitrary subset of the
 // farm's servers: idx names parent server indices in strictly ascending
-// order, and the view's server i is the parent's idx[i]. Like Subfarm the
-// view shares the parent's engines and dispatcher, with its own counters and
-// serving scratch — but the subset need not be a prefix, which is how the
-// fleet coordinator excludes crashed servers from routing while parked and
-// healthy servers keep arbitrary positions. Because the view is compact and
+// order, and the view's server i is the parent's idx[i]. The view shares the
+// parent's engines and dispatcher — dispatcher state (a round-robin cursor,
+// a random source) advances across parent and view alike — with its own
+// counters and serving scratch; the parent still finishes and reports all k
+// engines. The fleet coordinator serves every epoch through one such view
+// over its active servers: an ascending prefix while nothing has crashed
+// (parked servers sit past it), an arbitrary subset once crashed servers
+// must be skipped. Because the view is compact and
 // idx ascending, every dispatcher's lowest-index tie break resolves to the
 // lowest surviving parent index: routing through the view is exactly the
 // parent's routing with the excluded servers skipped, on the O(log k) index
@@ -344,8 +343,17 @@ func (f *Farm) LastFree() float64 { return lastFree(f.engines) }
 // parallel path draws its routing and bucketing scratch (the job-stream-sized
 // backing array included) from a shared pool, so repeated scale-out sweeps
 // settle into steady-state reuse; engines stay per-call, so returned
-// Results never alias pooled storage.
+// Results never alias pooled storage. Every job must pass queue.ValidateJob
+// against the one before it; the stream is checked before anything is
+// simulated, on both paths.
 func Run(k int, cfg queue.Config, disp Dispatcher, jobs []queue.Job) (Result, error) {
+	last := math.Inf(-1)
+	for i, j := range jobs {
+		if err := queue.ValidateJob(j, last); err != nil {
+			return Result{}, fmt.Errorf("farm: job %d: %w", i, err)
+		}
+		last = j.Arrival
+	}
 	if pre, ok := disp.(Preassigner); ok && k > 1 && len(jobs) > 0 {
 		if err := cfg.Validate(); err != nil {
 			return Result{}, err
@@ -482,77 +490,5 @@ func (sc *runScratch) runPreassigned(k int, cfg queue.Config, disp Dispatcher, p
 	// Merge through the same Farm.Finish the sequential path uses, so the
 	// aggregation can never diverge between the two.
 	f := &Farm{engines: engines, disp: disp, perSrv: sc.perSrv}
-	return f.Finish(lastFree(engines))
-}
-
-// RunSources runs one server per source: server i serves exactly the jobs
-// srcs[i] delivers, the routing having been decided by construction (a
-// sharded trace, per-server scenario generators). Servers simulate in
-// parallel, each pulling bounded chunks, and aggregate deterministically in
-// server order. Sources are consumed from their current position; sources
-// exposing Err() error surface their failure. Like Run's preassigned path,
-// per-server job-buffer memory is one chunk, so week-long per-server
-// streams run in O(k·chunk).
-func RunSources(cfg queue.Config, srcs []queue.JobSource) (Result, error) {
-	k := len(srcs)
-	if k < 1 {
-		return Result{}, fmt.Errorf("farm: no job sources")
-	}
-	for s, src := range srcs {
-		if src == nil {
-			return Result{}, fmt.Errorf("farm: nil job source for server %d", s)
-		}
-	}
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	engines := make([]*queue.Engine, k)
-	perSrv := make([]int, k)
-	errs := make([]error, k)
-	// One pull buffer per pool executor (calls sharing a worker id are
-	// sequential, so per-worker slices need no locking), carved from one
-	// backing array.
-	pool := par.Default()
-	workers := pool.Size()
-	if workers > k {
-		workers = k
-	}
-	bufs := make([]queue.Job, workers*stream.DefaultChunk)
-	pool.Run(k, 0, func(w, s int) {
-		buf := bufs[w*stream.DefaultChunk : (w+1)*stream.DefaultChunk]
-		eng, err := queue.NewEngine(cfg, 0)
-		if err != nil {
-			errs[s] = err
-			return
-		}
-		engines[s] = eng
-		src := srcs[s]
-		served := 0
-		for errs[s] == nil {
-			n, ok := src.Next(buf)
-			for i := 0; i < n; i++ {
-				if _, err := eng.Process(buf[i]); err != nil {
-					errs[s] = fmt.Errorf("farm: server %d job %d: %w", s, served+i, err)
-					break
-				}
-			}
-			served += n
-			if !ok {
-				break
-			}
-		}
-		perSrv[s] = served
-		if errs[s] == nil {
-			if err := sourceErr(src); err != nil {
-				errs[s] = fmt.Errorf("farm: server %d source: %w", s, err)
-			}
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return Result{}, err
-		}
-	}
-	f := &Farm{engines: engines, perSrv: perSrv}
 	return f.Finish(lastFree(engines))
 }

@@ -324,7 +324,7 @@ func TestRunParallelRejectsBadPreassign(t *testing.T) {
 	}
 }
 
-// sliceSource adapts a job slice to queue.JobSource for RunSources tests.
+// sliceSource adapts a job slice to queue.JobSource for the streaming tests.
 type sliceSource struct {
 	jobs []queue.Job
 	pos  int
@@ -336,59 +336,12 @@ func (s *sliceSource) Next(buf []queue.Job) (int, bool) {
 	return n, s.pos < len(s.jobs)
 }
 
-// TestRunSourcesMatchesPreassigned: feeding each server its round-robin
-// substream as a source must reproduce the dispatched run bit for bit — the
-// sources are just a streamed expression of the same routing.
-func TestRunSourcesMatchesPreassigned(t *testing.T) {
-	jobs := expJobs(30000, 8, 5, 11)
-	const k = 4
-	want, err := Run(k, testCfg(), &RoundRobin{}, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	subs := make([][]queue.Job, k)
-	for i, j := range jobs {
-		subs[i%k] = append(subs[i%k], j)
-	}
-	srcs := make([]queue.JobSource, k)
-	for s := range srcs {
-		srcs[s] = &sliceSource{jobs: subs[s]}
-	}
-	got, err := RunSources(testCfg(), srcs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireResultsEqual(t, got, want)
-}
-
-func TestRunSourcesValidation(t *testing.T) {
-	if _, err := RunSources(testCfg(), nil); err == nil {
-		t.Error("empty source list accepted")
-	}
-	if _, err := RunSources(queue.Config{}, []queue.JobSource{&sliceSource{}}); err == nil {
-		t.Error("invalid config accepted")
-	}
-	if _, err := RunSources(testCfg(), []queue.JobSource{&sliceSource{}, nil}); err == nil {
-		t.Error("nil source accepted")
-	}
-}
-
 // failingFarmSource exposes a deferred error.
 type failingFarmSource struct{ sliceSource }
 
 func (f *failingFarmSource) Err() error { return errSynthetic }
 
 var errSynthetic = fmt.Errorf("synthetic farm source failure")
-
-func TestRunSourcesSurfacesSourceError(t *testing.T) {
-	srcs := []queue.JobSource{
-		&sliceSource{jobs: expJobs(10, 8, 5, 1)},
-		&failingFarmSource{sliceSource{jobs: expJobs(10, 8, 5, 2)}},
-	}
-	if _, err := RunSources(testCfg(), srcs); err == nil {
-		t.Fatal("source error not surfaced")
-	}
-}
 
 // TestPooledScratchStableAcrossRuns: the preassigned path's pooled scratch
 // and engines must not leak state between runs — repeated identical runs

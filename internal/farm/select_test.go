@@ -176,3 +176,34 @@ func TestSelectRejects(t *testing.T) {
 		t.Fatal("negative selection accepted")
 	}
 }
+
+// TestSelectPrefixServes: a Select view over an ascending prefix routes only
+// within the prefix and shares engine state with its parent — the fleet
+// coordinator's fault-free active set.
+func TestSelectPrefixServes(t *testing.T) {
+	jobs := expJobs(2000, 8, 5, 19)
+	f, err := New(4, testCfg(), JSQ{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := f.Select(nil, []int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := make([]int, len(jobs))
+	sub.RecordServe(nil, srv)
+	if _, err := sub.ServeSourceSliced(&sliceSource{jobs: jobs}, DispatchOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range srv {
+		if s > 1 {
+			t.Fatalf("job %d routed to server %d outside the 2-prefix", i, s)
+		}
+	}
+	if f.Server(0).FreeAt() == 0 || f.Server(2).FreeAt() != 0 {
+		t.Fatal("prefix view serving did not share prefix engines (or leaked past the prefix)")
+	}
+	if _, err := f.Select(nil, []int{0, 1, 2, 3, 4}); err == nil {
+		t.Error("oversized prefix accepted")
+	}
+}

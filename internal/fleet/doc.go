@@ -1,8 +1,8 @@
-// Package fleet is the coordinator layer above the §6 farm runner: it owns
-// per-server (queue.Config, policy) state and makes epoch-boundary decisions
-// for a whole fleet, where core.RunFarmSource switches one fleet-wide policy.
-// Three capabilities extend the per-server policy table into cluster
-// management:
+// Package fleet runs the §6 epoch loop over a dispatched farm: the
+// coordinator owns per-server (queue.Config, policy) state and makes
+// epoch-boundary decisions for a whole fleet. In shared mode it switches one
+// fleet-wide policy per epoch; three capabilities extend that into
+// per-server cluster management:
 //
 //   - Per-server policies: with Config.PerServer, every server gets its own
 //     utilization predictor (fed the demand actually routed to it) and its
@@ -23,8 +23,9 @@
 //     policy dimension. The coordinator sizes the active prefix to the
 //     predicted fleet demand (ceil(W/ParkTargetRho), floored at
 //     max(MinActive, Quorum)), parks surplus servers — drain under a
-//     full-speed deepest-sleep configuration, then removal from routing via
-//     a prefix Subfarm view — and unparks by queue.Engine.WakeAt, so an
+//     full-speed deepest-sleep configuration, then removal from routing
+//     (the serving Select view holds only the active servers) — and unparks
+//     by queue.Engine.WakeAt, so an
 //     unparked server's first job pays the full deep-sleep wake latency.
 //
 // Invariants, enforced every epoch:
@@ -41,13 +42,21 @@
 //     state; unparking wakes it at the epoch boundary, charging the wake
 //     latency and energy of the occupied phase before any new job starts.
 //
-// The epoch cycle is the exact decide→serve→observe loop of the batch
-// runners (the serve step runs on the sharded worker pool via
-// farm.ServeSourceSliced between policy switches), and with shared-mode
-// homogeneous decisions — no quorum, no parking — a Coordinator run is
-// bit-for-bit identical to core.RunFarmSource: same decision RNG stream,
-// same per-epoch records, same aggregates. The equivalence suite pins this
-// across seeds and fleet sizes.
+// The epoch cycle is the exact decide→serve→observe loop of core.RunSource
+// (the serve step runs on the sharded worker pool via
+// farm.ServeSourceSliced between policy switches) and draws the same
+// decision RNG stream. In shared mode — no quorum, no parking — a golden
+// captured from the homogeneous farm epoch loop that shared mode replaced
+// pins every per-epoch record and aggregate bit for bit across seeds and
+// fleet sizes. At k = 1 shared mode equals core.RunSource in every epoch
+// record and aggregate except MeanResponse: the fleet re-weights each
+// server's mean m as Σ m·n / Σ n, which at k = 1 is (m·n)/n and may differ
+// from m in the last place.
+//
+// Run validates its input as core.LiveRunner does: every job must pass
+// queue.ValidateJob against the previous one, so an out-of-order,
+// non-finite or negative-size job ends the run with its queue sentinel
+// even when each server alone would see an in-order stream.
 //
 // Beyond the farm report's quantities, Report carries fleet rollups: peak
 // power, jobs per joule, and an energy-proportionality score comparing each

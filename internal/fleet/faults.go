@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"sleepscale/internal/farm"
 	"sleepscale/internal/fault"
 	"sleepscale/internal/queue"
 )
@@ -143,26 +142,10 @@ func (c *Coordinator) serveSegment() error {
 		}
 		return nil
 	}
-	// A prefix active list serves through the same cached Subfarm as the
-	// fault-free path; any other shape goes through the reusable compact
-	// Select view.
-	var fv *farm.Farm
-	var err error
-	if last := c.actList[len(c.actList)-1]; last == len(c.actList)-1 {
-		fv, err = c.view(len(c.actList))
-	} else {
-		c.faultView, err = c.f.Select(c.faultView, c.actList)
-		fv = c.faultView
-	}
-	if err != nil {
-		return err
-	}
 	c.segResp = resizeFloats(c.segResp, n)
 	c.segSrv = resizeIntsF(c.segSrv, n)
-	fv.RecordServe(c.segResp, c.segSrv)
-	c.src.jobs, c.src.pos = c.segJobs, 0
-	if _, err := fv.ServeSourceSliced(&c.src, c.cfg.Options); err != nil {
-		return fmt.Errorf("fleet: epoch %d: %w", c.epoch, err)
+	if err := c.serve(c.segJobs, c.segResp, c.segSrv); err != nil {
+		return err
 	}
 	for i := 0; i < n; i++ {
 		real := c.actList[c.segSrv[i]]

@@ -36,7 +36,8 @@ type Config struct {
 	// decision RNG stream either way.
 	Strategy core.Strategy
 	// Predictor is the shared fleet predictor (PerServer false): it observes
-	// the trace's realized slot utilizations, exactly as in RunFarmSource.
+	// the trace's realized slot utilizations, exactly as core.RunSource's
+	// predictor does.
 	Predictor predict.Predictor
 	// NewPredictor builds one predictor per server (PerServer true). Each
 	// server's predictor observes the per-slot demand actually routed to
@@ -49,9 +50,9 @@ type Config struct {
 	// Seed drives the strategy's bootstrap resampling via core.DecideSeed.
 	Seed int64
 	// Dispatcher routes jobs over the active servers. It must support the
-	// sliced dispatch path (farm.Preassigner or farm.Router); a Router
-	// prices each server from its own configuration, so per-server policies
-	// need nothing more.
+	// sliced dispatch path (farm.Preassigner or farm.Router) — New rejects
+	// one that does not; a Router prices each server from its own
+	// configuration, so per-server policies need nothing more.
 	Dispatcher farm.Dispatcher
 	// Options tunes the sliced serving path (slice size, worker bound).
 	Options farm.DispatchOptions
@@ -112,9 +113,14 @@ type Epoch struct {
 }
 
 // Report aggregates a coordinated fleet run. The embedded RunReport carries
-// the same fleet-wide quantities as core.FarmRunReport — in shared mode with
-// no quorum and no parking they are bit-identical to RunFarmSource's. The
-// report reuses the coordinator's storage: it is valid until the next Run.
+// the fleet-wide quantities: Jobs is the total served, MeanResponse the
+// job-weighted mean across servers (Σ mean·jobs / jobs), AvgPower the sum of
+// per-server average powers, Energy the total, and P95Response and Duration
+// the worst per-server values — the bound a cluster-level SLA would be held
+// to. At k = 1 in shared mode every field equals core.RunSource's except
+// MeanResponse, which is that mean m re-weighted as (m·n)/n and may differ
+// from it in the last place. The report reuses the coordinator's storage: it
+// is valid until the next Run.
 type Report struct {
 	core.RunReport
 	// Servers is the fleet size k.
@@ -159,8 +165,8 @@ type Coordinator struct {
 	parkPol policy.Policy
 	parkCfg queue.Config
 
-	f     *farm.Farm
-	views map[int]*farm.Farm // prefix Subfarm per active-set size
+	f  *farm.Farm
+	fv *farm.Farm // reusable Select view over the servers routed to
 
 	window    *eventlog.Window
 	decideSrc rand.Source
@@ -190,20 +196,19 @@ type Coordinator struct {
 	downSrv   []bool
 	downCount int
 
-	faultCur  *fault.Cursor
-	faultView *farm.Farm
-	faultLog  []fault.Event
-	pending   [][]pendJob
-	retryq    []retryJob
-	retrySeq  uint64
-	segJobs   []queue.Job
-	segAtt    []int
-	segResp   []float64
-	segSrv    []int
-	eJobs     []queue.Job
-	eSrv      []int
-	eResp     []float64
-	eLost     []bool
+	faultCur *fault.Cursor
+	faultLog []fault.Event
+	pending  [][]pendJob
+	retryq   []retryJob
+	retrySeq uint64
+	segJobs  []queue.Job
+	segAtt   []int
+	segResp  []float64
+	segSrv   []int
+	eJobs    []queue.Job
+	eSrv     []int
+	eResp    []float64
+	eLost    []bool
 
 	offered, completed, dropped       int
 	retries, crashes, repairs         int
@@ -218,6 +223,7 @@ type Coordinator struct {
 	rawPred     []float64
 
 	cursor      *stream.Cursor
+	lastArrival float64 // latest offered arrival this Run, for order validation
 	src         epochSource
 	epochJobs   []queue.Job
 	resp        []float64
@@ -268,6 +274,11 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Dispatcher == nil {
 		return nil, fmt.Errorf("fleet: coordinator needs a dispatcher")
 	}
+	_, isPre := cfg.Dispatcher.(farm.Preassigner)
+	_, isRt := cfg.Dispatcher.(farm.Router)
+	if !isPre && !isRt {
+		return nil, fmt.Errorf("fleet: dispatcher %s supports neither preassignment nor shadow routing (farm.Preassigner or farm.Router)", cfg.Dispatcher.Name())
+	}
 	if cfg.PerServer {
 		if cfg.NewPredictor == nil {
 			return nil, fmt.Errorf("fleet: per-server mode needs a predictor factory")
@@ -307,7 +318,6 @@ func New(cfg Config) (*Coordinator, error) {
 		k:           k,
 		lo:          maxInt(1, maxInt(cfg.MinActive, cfg.Quorum)),
 		window:      window,
-		views:       make(map[int]*farm.Farm),
 		pols:        make([]policy.Policy, k),
 		parked:      make([]bool, k),
 		phaseBufs:   make([][2][]queue.SleepPhase, k),
@@ -359,8 +369,11 @@ func (c *Coordinator) Installed(s int) (policy.Policy, bool) {
 // Run executes the §6 epoch loop over the whole trace with jobs pulled from
 // src (consumed from its current position; Reset it first for
 // reproducibility). Jobs arriving at or after the trace's end are left
-// unread. The returned report aliases coordinator storage and is valid
-// until the next Run.
+// unread. Every job read must pass queue.ValidateJob against the previous
+// one (the first against time 0), exactly as core.LiveRunner.OfferJob checks
+// its jobs; the first that fails ends the run with its sentinel. The
+// returned report aliases coordinator storage and is valid until the next
+// Run.
 func (c *Coordinator) Run(src stream.Source) (*Report, error) {
 	if src == nil {
 		return nil, fmt.Errorf("fleet: coordinator needs a job source")
@@ -385,6 +398,10 @@ func (c *Coordinator) Run(src stream.Source) (*Report, error) {
 			if !ok || j.Arrival >= epochEnd {
 				break
 			}
+			if err := queue.ValidateJob(j, c.lastArrival); err != nil {
+				return nil, fmt.Errorf("fleet: epoch %d: %w", c.epoch, err)
+			}
+			c.lastArrival = j.Arrival
 			c.epochJobs = append(c.epochJobs, j)
 			c.cursor.Advance()
 		}
@@ -434,6 +451,7 @@ func (c *Coordinator) resetRun(src stream.Source) {
 	c.lastMean, c.lastP95, c.lastJobs = 0, 0, 0
 	c.prevTotals = queue.Snapshot{}
 	c.freqSum = 0
+	c.lastArrival = 0
 	c.window.Reset()
 	c.decideSrc.Seed(core.DecideSeed(c.cfg.Seed))
 	c.epochDelays.Reset()
@@ -555,9 +573,9 @@ func (c *Coordinator) openEpoch(epochStart float64) error {
 
 	// 3. Decide, consuming the decision RNG once per decision in active
 	// server order — shared mode consumes exactly one draw sequence per
-	// epoch, matching the homogeneous runner bit for bit. With every server
-	// down there is nobody to decide for: the RNG is not consumed and the
-	// previous recommendation stands in the epoch record.
+	// epoch, matching core.RunSource's decide stream bit for bit. With
+	// every server down there is nobody to decide for: the RNG is not
+	// consumed and the previous recommendation stands in the epoch record.
 	if len(c.newAct) > 0 {
 		if perSrv {
 			sum := 0.0
@@ -603,9 +621,9 @@ func (c *Coordinator) openEpoch(epochStart float64) error {
 
 	// 5. Install. The first epoch creates (or Resets) the farm under the
 	// first active server's configuration and only switches servers that
-	// differ — exactly the homogeneous runner's farm.New when every server
-	// agrees. Later epochs switch every active server at the boundary in
-	// server order, as the farm backend does, then park the newly parked;
+	// differ, so a homogeneous first epoch switches nobody. Later epochs
+	// switch every active server at the boundary in server order, then park
+	// the newly parked;
 	// down servers are never touched (their engines reject clocked calls).
 	if first {
 		qcfg0, err := c.resolve(c.newAct[0])
@@ -728,36 +746,28 @@ func (c *Coordinator) capPlan(pl policy.SleepPlan) policy.SleepPlan {
 	return capped
 }
 
-// view returns the farm serving this epoch: the whole fleet, or the cached
-// prefix Subfarm over the m active servers.
-func (c *Coordinator) view(m int) (*farm.Farm, error) {
-	if m == c.k {
-		return c.f, nil
-	}
-	if v, ok := c.views[m]; ok {
-		return v, nil
-	}
-	v, err := c.f.Subfarm(m)
-	if err != nil {
-		return nil, err
-	}
-	c.views[m] = v
-	return v, nil
-}
-
 // serveEpoch routes and simulates the collected epoch jobs over the active
 // prefix, recording each job's response and server at its stream position.
 func (c *Coordinator) serveEpoch() error {
 	n := len(c.epochJobs)
 	c.resp = resizeFloats(c.resp, n)
 	c.srv = resizeIntsF(c.srv, n)
-	fv, err := c.view(c.active)
-	if err != nil {
+	return c.serve(c.epochJobs, c.resp, c.srv)
+}
+
+// serve routes jobs over the active servers through the coordinator's one
+// reusable Select view, recording each job's response and view index. The
+// view is refilled from actList every call: an ascending prefix without
+// faults, so the parked servers past it are never routed to, and any
+// ascending subset once crashed servers must be skipped.
+func (c *Coordinator) serve(jobs []queue.Job, resp []float64, srv []int) error {
+	var err error
+	if c.fv, err = c.f.Select(c.fv, c.actList); err != nil {
 		return err
 	}
-	fv.RecordServe(c.resp, c.srv)
-	c.src.jobs, c.src.pos = c.epochJobs, 0
-	if _, err := fv.ServeSourceSliced(&c.src, c.cfg.Options); err != nil {
+	c.fv.RecordServe(resp, srv)
+	c.src.jobs, c.src.pos = jobs, 0
+	if _, err := c.fv.ServeSourceSliced(&c.src, c.cfg.Options); err != nil {
 		return fmt.Errorf("fleet: epoch %d: %w", c.epoch, err)
 	}
 	return nil
@@ -831,7 +841,8 @@ func (c *Coordinator) closeEpoch(epochStart, epochEnd float64, rhos []float64, s
 		}
 	} else {
 		// The decided frequency, not a recomputed mean: (f·m)/m is not
-		// bit-equal to f, and shared mode is pinned to the farm runner.
+		// bit-equal to f, and shared mode is pinned to its golden and to
+		// core.RunSource at k = 1.
 		freq = c.recPol.Frequency
 		rep.PlanEpochs[c.recPol.Plan.Name]++
 	}
@@ -883,8 +894,7 @@ func (c *Coordinator) feedPerServer(served []queue.Job, srv []int, rhos []float6
 }
 
 // totalsAt sums cumulative counters over every server — parked ones too, so
-// epoch energy deltas account for the whole fleet — in server order, exactly
-// as the farm backend does.
+// epoch energy deltas account for the whole fleet — in server order.
 func (c *Coordinator) totalsAt(t float64) queue.Snapshot {
 	var sum queue.Snapshot
 	for s := 0; s < c.k; s++ {
@@ -900,8 +910,8 @@ func (c *Coordinator) totalsAt(t float64) queue.Snapshot {
 }
 
 // finish closes every server at the trace's end and folds the per-server
-// summaries into the fleet aggregates, mirroring farm.Finish's summation
-// order so shared-mode aggregates are bit-identical to RunFarmSource's.
+// summaries into the fleet aggregates in server order, farm.Finish's
+// summation order.
 func (c *Coordinator) finish(duration float64) {
 	rep := &c.report
 	if c.epoch > 0 {

@@ -1,8 +1,12 @@
 package fleet
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"sleepscale/internal/colstore"
@@ -64,6 +68,37 @@ func (s *rngStrategy) Decide(in core.DecideInput) (policy.Policy, error) {
 	return policy.Policy{Frequency: f, Plan: pl}, nil
 }
 
+// sharedCfg is the shared-mode coordinator configuration runnerCfg
+// describes for the single-server runner: one fleet predictor, no quorum, no
+// parking.
+func sharedCfg(tr *trace.Trace, strat core.Strategy, seed int64, k int, disp farm.Dispatcher) Config {
+	return Config{
+		Servers:      k,
+		FreqExponent: 1,
+		Profile:      power.Xeon(),
+		Trace:        tr,
+		EpochSlots:   4,
+		Strategy:     strat,
+		Predictor:    predict.NewNaivePrevious(),
+		Seed:         seed,
+		Dispatcher:   disp,
+	}
+}
+
+// runShared builds a shared-mode coordinator and runs jobs through it.
+func runShared(t *testing.T, cfg Config, jobs []queue.Job) *Report {
+	t.Helper()
+	coord, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := coord.Run(stream.Slice(jobs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 func runnerCfg(tr *trace.Trace, strat core.Strategy, seed int64) core.RunnerConfig {
 	return core.RunnerConfig{
 		FreqExponent: 1,
@@ -119,17 +154,14 @@ func TestCoordinatorRunIsRepeatable(t *testing.T) {
 
 // TestCoordinatorPerServerStaticMatchesShared: with a static strategy,
 // per-server decisions are identical to the shared decision, so everything
-// except the Predicted column must match the homogeneous farm runner.
+// except the Predicted column must match the shared-mode coordinator.
 func TestCoordinatorPerServerStaticMatchesShared(t *testing.T) {
 	tr := flatTrace(12, 0.4)
 	jobs := fleetJobs(400, 35, 5, 7)
 	pol := policy.Policy{Frequency: 0.8, Plan: policy.SingleState(power.DeepSleep)}
 	const k = 7
 
-	want, err := core.RunFarmSource(runnerCfg(tr, &staticStrategy{pol: pol}, 1), k, farm.JSQ{}, stream.Slice(jobs))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runShared(t, sharedCfg(tr, &staticStrategy{pol: pol}, 1, k, farm.JSQ{}), jobs)
 	coord, err := New(Config{
 		Servers: k, FreqExponent: 1, Profile: power.Xeon(), Trace: tr,
 		EpochSlots: 4, Strategy: &staticStrategy{pol: pol},
@@ -159,6 +191,154 @@ func TestCoordinatorPerServerStaticMatchesShared(t *testing.T) {
 	// Per-server mode counts one plan epoch per active server.
 	if got.PlanEpochs[pol.Plan.Name] != k*len(got.Epochs) {
 		t.Fatalf("plan epochs %v, want %d", got.PlanEpochs, k*len(got.Epochs))
+	}
+}
+
+// TestCoordinatorK1MatchesRunSource anchors shared mode to the single-server
+// runner: at k = 1 every dispatcher routes every job to the one engine, which
+// sees the same jobs under the same per-epoch switches and the same decision
+// stream, so every epoch record and every aggregate must equal
+// core.RunSource's bit for bit — except MeanResponse, which the fleet
+// re-weights as Σ mean·jobs / jobs and so reads (m·n)/n for the runner's m.
+func TestCoordinatorK1MatchesRunSource(t *testing.T) {
+	tr := flatTrace(12, 0.3)
+	disps := []func() farm.Dispatcher{
+		func() farm.Dispatcher { return farm.JSQ{} },
+		func() farm.Dispatcher { return &farm.RoundRobin{} },
+		func() farm.Dispatcher { return &farm.LeastWorkLeft{} },
+	}
+	for _, mk := range disps {
+		for seed := int64(1); seed <= 3; seed++ {
+			jobs := fleetJobs(50, 5, 5, seed+10)
+			want, err := core.RunSource(runnerCfg(tr, newRngStrategy(), seed), stream.Slice(jobs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := runShared(t, sharedCfg(tr, newRngStrategy(), seed, 1, mk()), jobs)
+			tag := fmt.Sprintf("%s seed=%d", mk().Name(), seed)
+			if !reflect.DeepEqual(got.Epochs, want.Epochs) {
+				t.Fatalf("%s: epoch records diverge:\n got %+v\nwant %+v", tag, got.Epochs, want.Epochs)
+			}
+			if !reflect.DeepEqual(got.PlanEpochs, want.PlanEpochs) {
+				t.Fatalf("%s: plan epochs %v != %v", tag, got.PlanEpochs, want.PlanEpochs)
+			}
+			if got.Jobs != want.Jobs || got.P95Response != want.P95Response ||
+				got.AvgPower != want.AvgPower || got.Energy != want.Energy ||
+				got.Duration != want.Duration || got.MeanFrequency != want.MeanFrequency {
+				t.Fatalf("%s: aggregates diverge:\n got %+v\nwant %+v", tag, got.RunReport, want)
+			}
+			n := float64(want.Jobs)
+			if wantMean := want.MeanResponse * n / n; got.MeanResponse != wantMean {
+				t.Fatalf("%s: MeanResponse %.17g, want (m·n)/n = %.17g (m = %.17g)",
+					tag, got.MeanResponse, wantMean, want.MeanResponse)
+			}
+		}
+	}
+}
+
+// TestCoordinatorSharedBasics: a shared-mode run reports its shape, one
+// record per epoch, and fleet aggregates that are the per-server sums.
+func TestCoordinatorSharedBasics(t *testing.T) {
+	pol := policy.Policy{Frequency: 1, Plan: policy.SingleState(power.DeepSleep)}
+	cfg := sharedCfg(flatTrace(20, 0.6), &staticStrategy{pol: pol}, 1, 3, &farm.RoundRobin{})
+	cfg.EpochSlots = 5
+	rep := runShared(t, cfg, fleetJobs(200, 9, 5, 4))
+	if rep.Jobs == 0 {
+		t.Fatal("no jobs served")
+	}
+	if rep.Servers != 3 || rep.Dispatcher != "round-robin" {
+		t.Errorf("report identifies %d servers / %q", rep.Servers, rep.Dispatcher)
+	}
+	if len(rep.Epochs) != 4 || len(rep.PerServer) != 3 {
+		t.Fatalf("report shape: %d epochs, %d servers", len(rep.Epochs), len(rep.PerServer))
+	}
+	jobs, watts := 0, 0.0
+	for _, sr := range rep.PerServer {
+		jobs += sr.Jobs
+		watts += sr.AvgPower
+	}
+	if jobs != rep.Jobs {
+		t.Errorf("per-server jobs sum %d != total %d", jobs, rep.Jobs)
+	}
+	if math.Abs(watts-rep.AvgPower) > 1e-9 {
+		t.Errorf("AvgPower %v != per-server sum %v", rep.AvgPower, watts)
+	}
+}
+
+// TestCoordinatorScaleOutSpreadsLoad: with JSQ over more servers, the same
+// aggregate stream must yield a lower mean response while total power grows
+// sub-linearly (idle servers sleep) — the §7 scale-out story through the
+// epoch loop.
+func TestCoordinatorScaleOutSpreadsLoad(t *testing.T) {
+	pol := policy.Policy{Frequency: 1, Plan: policy.SingleState(power.DeepSleep)}
+	tr := flatTrace(60, 0.8)
+	jobs := fleetJobs(240, 4, 5, 5)
+	one := runShared(t, sharedCfg(tr, &staticStrategy{pol: pol}, 1, 1, farm.JSQ{}), jobs)
+	four := runShared(t, sharedCfg(tr, &staticStrategy{pol: pol}, 1, 4, farm.JSQ{}), jobs)
+	if four.MeanResponse >= one.MeanResponse {
+		t.Errorf("scale-out did not improve response: %v vs %v", four.MeanResponse, one.MeanResponse)
+	}
+	if four.AvgPower >= 4*one.AvgPower {
+		t.Errorf("4 servers draw %v W ≥ 4× one server's %v W — sleep not exploited", four.AvgPower, one.AvgPower)
+	}
+}
+
+// TestCoordinatorEpochEnergySumsToReportEnergy: epoch energy deltas sum the
+// whole fleet's counters, so they add up to the report's energy.
+func TestCoordinatorEpochEnergySumsToReportEnergy(t *testing.T) {
+	pol := policy.Policy{Frequency: 1, Plan: policy.SingleState(power.DeepSleep)}
+	cfg := sharedCfg(flatTrace(12, 0.4), &staticStrategy{pol: pol}, 1, 3, farm.JSQ{})
+	cfg.EpochSlots = 3
+	rep := runShared(t, cfg, fleetJobs(150, 6, 5, 6))
+	var energy float64
+	for _, e := range rep.Epochs {
+		energy += e.Energy
+	}
+	if math.Abs(energy-rep.Energy) > 1e-6*rep.Energy {
+		t.Fatalf("fleet epoch energies sum to %g, report says %g", energy, rep.Energy)
+	}
+}
+
+// TestCoordinatorRejectsBadJobs: the coordinator checks arrival order across
+// the whole stream, not per server. At k = 3 each of the three out-of-order
+// jobs lands on a different server, so no engine sees the disorder; at
+// k = 1 the one engine would. Both must fail at the coordinator's ingress
+// with queue.ErrOutOfOrder, as must non-finite and negative jobs with their
+// sentinels — with and without fault injection.
+func TestCoordinatorRejectsBadJobs(t *testing.T) {
+	outOfOrder := []queue.Job{{Arrival: 4.5, Size: 3}, {Arrival: 6, Size: 0.1}, {Arrival: 5, Size: 0.1}}
+	cases := []struct {
+		name string
+		k    int
+		jobs []queue.Job
+		want error
+	}{
+		{"out-of-order k=1", 1, outOfOrder, queue.ErrOutOfOrder},
+		{"out-of-order k=3", 3, outOfOrder, queue.ErrOutOfOrder},
+		{"negative size", 3, []queue.Job{{Arrival: 1, Size: 0.1}, {Arrival: 2, Size: -1}}, queue.ErrNegativeSize},
+		{"NaN arrival", 3, []queue.Job{{Arrival: 1, Size: 0.1}, {Arrival: math.NaN(), Size: 0.1}}, queue.ErrNonFinite},
+		{"+Inf size", 3, []queue.Job{{Arrival: 1, Size: math.Inf(1)}}, queue.ErrNonFinite},
+	}
+	pol := policy.Policy{Frequency: 1, Plan: policy.SingleState(power.DeepSleep)}
+	for _, tc := range cases {
+		for _, faults := range []bool{false, true} {
+			cfg := sharedCfg(flatTrace(12, 0.3), &staticStrategy{pol: pol}, 1, tc.k, farm.JSQ{})
+			if faults {
+				cfg.Faults = emptySchedule(t)
+			}
+			coord, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := coord.Run(stream.Slice(tc.jobs))
+			if !errors.Is(err, tc.want) {
+				jobs := -1
+				if rep != nil {
+					jobs = rep.Jobs
+				}
+				t.Errorf("%s faults=%v: err = %v (jobs %d), want %v", tc.name, faults, err, jobs, tc.want)
+			}
+		}
 	}
 }
 
@@ -397,6 +577,7 @@ func TestNewValidation(t *testing.T) {
 		{"no strategy", func(c *Config) { c.Strategy = nil }},
 		{"no profile", func(c *Config) { c.Profile = nil }},
 		{"no dispatcher", func(c *Config) { c.Dispatcher = nil }},
+		{"dispatcher without sliced routing", func(c *Config) { c.Dispatcher = pickOnly{} }},
 		{"no predictor", func(c *Config) { c.Predictor = nil }},
 		{"per-server without factory", func(c *Config) { c.PerServer = true }},
 		{"quorum exceeds fleet", func(c *Config) { c.Quorum = 5 }},
@@ -412,10 +593,21 @@ func TestNewValidation(t *testing.T) {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
-	if _, err := New(base()); err != nil {
+	coord, err := New(base())
+	if err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
+	if _, err := coord.Run(nil); err == nil {
+		t.Error("nil source accepted")
+	}
 }
+
+// pickOnly routes by Pick alone: neither a Preassigner nor a Router, so the
+// coordinator's sliced serving path cannot drive it.
+type pickOnly struct{}
+
+func (pickOnly) Pick(*farm.Farm, queue.Job) int { return 0 }
+func (pickOnly) Name() string                   { return "pick-only" }
 
 // TestWriteLogsRoundtrip: the fleet epoch and server logs must come back
 // with the right kinds, shapes and values through the column store.

@@ -9,9 +9,6 @@ import (
 
 	"sleepscale/internal/core"
 	"sleepscale/internal/farm"
-	"sleepscale/internal/power"
-	"sleepscale/internal/predict"
-	"sleepscale/internal/stream"
 )
 
 // sharedGoldenCases are the shapes of the shared-mode golden: fleet size,
@@ -60,11 +57,11 @@ func goldenLines(rep *core.RunReport) []string {
 // checkGolden compares rendered lines against the checked-in golden for key,
 // printing the whole rendering as Go source on a mismatch so a deliberate
 // model change can regenerate it.
-func checkGolden(t *testing.T, who, key string, got []string) {
+func checkGolden(t *testing.T, key string, got []string) {
 	t.Helper()
 	want, ok := sharedGolden[key]
 	if !ok {
-		t.Fatalf("%s: no golden for %s", who, key)
+		t.Fatalf("no golden for %s", key)
 	}
 	if strings.Join(got, "\n") == strings.Join(want, "\n") {
 		return
@@ -84,20 +81,21 @@ func checkGolden(t *testing.T, who, key string, got []string) {
 			wl = want[i]
 		}
 		if gl != wl {
-			t.Errorf("%s %s line %d:\n got %s\nwant %s", who, key, i, gl, wl)
+			t.Errorf("%s line %d:\n got %s\nwant %s", key, i, gl, wl)
 			break
 		}
 	}
-	t.Fatalf("%s %s diverges from the golden; rendering:\n%s", who, key, src.String())
+	t.Fatalf("%s diverges from the golden; rendering:\n%s", key, src.String())
 }
 
 // TestCoordinatorSharedMatchesRunFarmSource pins the shared-mode
 // equivalence: a shared-mode coordinator with no quorum and no parking must
-// reproduce, bit for bit, the golden output of the homogeneous farm epoch
-// runner it replaced (one fleet-wide decision per epoch, every server
-// switched at the boundary) — every epoch record, the plan-epoch counts and
-// every aggregate — across seeds, fleet sizes and dispatchers, with an
-// RNG-consuming strategy so the decision stream itself is compared.
+// reproduce, bit for bit, the golden captured from the homogeneous farm
+// epoch runner that shared mode replaced (one fleet-wide decision per epoch,
+// every server switched at the boundary) — every epoch record, the
+// plan-epoch counts and every aggregate — across seeds, fleet sizes and
+// dispatchers, with an RNG-consuming strategy so the decision stream itself
+// is compared.
 func TestCoordinatorSharedMatchesRunFarmSource(t *testing.T) {
 	tr := flatTrace(12, 0.3)
 	for _, tc := range sharedGoldenCases {
@@ -105,31 +103,8 @@ func TestCoordinatorSharedMatchesRunFarmSource(t *testing.T) {
 			key := fmt.Sprintf("k=%d/%s/seed=%d", tc.k, tc.name, seed)
 			jobs := fleetJobs(int(tc.lambda*10), tc.lambda, 5, seed+10)
 
-			want, err := core.RunFarmSource(runnerCfg(tr, newRngStrategy(), seed), tc.k, tc.disp(), stream.Slice(jobs))
-			if err != nil {
-				t.Fatalf("%s farm runner: %v", key, err)
-			}
-			checkGolden(t, "farm runner", key, goldenLines(&want.RunReport))
-
-			coord, err := New(Config{
-				Servers:      tc.k,
-				FreqExponent: 1,
-				Profile:      power.Xeon(),
-				Trace:        tr,
-				EpochSlots:   4,
-				Strategy:     newRngStrategy(),
-				Predictor:    predict.NewNaivePrevious(),
-				Seed:         seed,
-				Dispatcher:   tc.disp(),
-			})
-			if err != nil {
-				t.Fatalf("%s new: %v", key, err)
-			}
-			got, err := coord.Run(stream.Slice(jobs))
-			if err != nil {
-				t.Fatalf("%s run: %v", key, err)
-			}
-			checkGolden(t, "coordinator", key, goldenLines(&got.RunReport))
+			got := runShared(t, sharedCfg(tr, newRngStrategy(), seed, tc.k, tc.disp()), jobs)
+			checkGolden(t, key, goldenLines(&got.RunReport))
 			for i, fe := range got.FleetEpochs {
 				if fe.Active != tc.k || fe.Parked != 0 || fe.Unparked != 0 {
 					t.Fatalf("%s epoch %d: unexpected fleet dims %+v", key, i, fe)

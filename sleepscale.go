@@ -578,7 +578,9 @@ type (
 	Preassigner = farm.Preassigner
 	// Router marks state-dependent dispatchers (JSQ, PowerOfD,
 	// LeastWorkLeft) that route against a per-server shadow, unlocking the
-	// time-sliced parallel mode of RunFarmSource.
+	// time-sliced parallel mode of RunFarmSource. A fleet coordinator
+	// serves only through that mode, so its dispatcher must be a
+	// Preassigner or a Router.
 	Router = farm.Router
 	// FarmDispatchOptions tunes RunFarmSource's streaming dispatch loop,
 	// including the persistent worker-pool bound of the parallel mode
@@ -611,13 +613,6 @@ func RunFarm(k int, cfg SimConfig, disp Dispatcher, jobs []Job) (FarmResult, err
 	return farm.Run(k, cfg, disp, jobs)
 }
 
-// RunFarmSources runs one server per job source (the routing decided by
-// construction), simulating servers in parallel with bounded per-server
-// chunk buffers.
-func RunFarmSources(cfg SimConfig, srcs []JobSource) (FarmResult, error) {
-	return farm.RunSources(cfg, srcs)
-}
-
 // RunFarmSource is the streaming k-way dispatch loop: jobs pulled from one
 // source in bounded chunks are routed through disp at their arrival
 // instants — JSQ sees accurate queue depths — without the stream ever being
@@ -628,22 +623,15 @@ func RunFarmSource(k int, cfg SimConfig, disp Dispatcher, src JobSource, opts Fa
 	return farm.DispatchSource(k, cfg, disp, src, opts)
 }
 
-// FarmRunReport aggregates a trace-driven epoch run over a farm.
-type FarmRunReport = core.FarmRunReport
-
-// RunFarmEpochs executes the §6 evaluation loop over a streamed farm: one
-// strategy decision per epoch applied fleet-wide, jobs routed through the
-// dispatcher at their arrival instants, farm-wide delay statistics feeding
-// the over-provisioning guard. With k = 1 it matches RunSource bit for bit.
-func RunFarmEpochs(cfg RunnerConfig, servers int, disp Dispatcher, src StreamSource) (FarmRunReport, error) {
-	return core.RunFarmSource(cfg, servers, disp, src)
-}
-
-// Fleet coordination: the layer above RunFarmEpochs that owns per-server
-// (configuration, policy) state — per-server strategy decisions, staggered
-// sleep quorums with deep-sleep rotation, and horizontal scaling that parks
-// and unparks whole servers. In shared mode with no quorum and no parking a
-// coordinated run is bit-identical to RunFarmEpochs.
+// Fleet coordination: the §6 epoch loop over a dispatched farm. The
+// coordinator owns per-server (configuration, policy) state. In shared mode
+// (FleetConfig.PerServer false) it makes one strategy decision per epoch and
+// applies it fleet-wide, with farm-wide delay statistics feeding the
+// over-provisioning guard. The coordinated knobs add per-server decisions,
+// staggered sleep quorums with deep-sleep rotation, and horizontal scaling
+// that parks and unparks whole servers. At k = 1 shared mode matches
+// RunSource in every epoch record and aggregate except MeanResponse,
+// which the fleet re-weights as (m·n)/n for the runner's mean m.
 type (
 	// FleetConfig describes one coordinated fleet run: fleet size, trace,
 	// strategy, predictor (shared or per-server factory), dispatcher, and
