@@ -254,7 +254,6 @@ func runTraceFarm(sizes []int, traceName string, epochT int, dispatch string, se
 	}
 	pol := sleepscale.Policy{Frequency: 1, Plan: sleepscale.SingleState(sleepscale.DeepSleep)}
 	strategy := sleepscale.NewStaticStrategy(pol, "static")
-	pred := sleepscale.NewNaivePredictor()
 	fmt.Printf("trace=%s (%d slots) T=%d dispatch=%s coordinate=%v\n\n", traceName, tr.Len(), epochT, dispatch, fc.coordinate)
 	if fc.coordinate {
 		fmt.Printf("%6s  %10s  %10s  %12s  %8s  %8s  %8s\n", "k", "E[R] (s)", "P95 (s)", "E[P] (W)", "epochs", "EP", "jobs/kJ")
@@ -277,7 +276,7 @@ func runTraceFarm(sizes []int, traceName string, epochT int, dispatch string, se
 			Trace:        tr,
 			EpochSlots:   epochT,
 			Strategy:     strategy,
-			Predictor:    pred,
+			Predictor:    sleepscale.NewNaivePredictor(), // fresh per size: no state leaks between runs
 			Seed:         seed,
 			Dispatcher:   disp,
 		}

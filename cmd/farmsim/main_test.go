@@ -102,6 +102,20 @@ func TestRunTraceFarmWritesEpochLog(t *testing.T) {
 	if len(res.Groups) != 2 || res.Groups[0].Count != 2 {
 		t.Fatalf("per-epoch groups = %+v", res.Groups)
 	}
+	// Every run starts from a fresh predictor, so each run's epoch 0 makes
+	// the same forecast: one predictor shared across sizes would carry the
+	// first run's last observation into the second.
+	var predicted []float64
+	for b := 0; b < r.NumBlocks(); b++ {
+		col, err := r.Col(b, r.Schema().ColIndex("predicted"), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		predicted = append(predicted, col...)
+	}
+	if len(predicted) != 4 || predicted[0] != predicted[2] {
+		t.Fatalf("epoch-0 forecasts differ across runs: predicted column %v", predicted)
+	}
 }
 
 // TestRunTraceFarmCoordinated drives -coordinate -quorum -park end to end
