@@ -435,8 +435,8 @@ func (f *Farm) ServeSourceSliced(src queue.JobSource, opts DispatchOptions) (int
 			if !ok {
 				break
 			}
-			if err := queue.ValidateJob(j, last); err != nil {
-				bad = fmt.Errorf("farm: job %d: %w", f.recBase+len(slice), err)
+			if !j.Follows(last) {
+				bad = fmt.Errorf("farm: job %d: %w", f.recBase+len(slice), queue.ValidateJob(j, last))
 				break
 			}
 			last = j.Arrival

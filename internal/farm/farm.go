@@ -166,8 +166,8 @@ func (f *Farm) ServeSource(src queue.JobSource) (int, error) {
 		n, ok := src.Next(f.chunk)
 		for i := 0; i < n; i++ {
 			j := f.chunk[i]
-			if err := queue.ValidateJob(j, last); err != nil {
-				return served + i, fmt.Errorf("farm: job %d: %w", served+i, err)
+			if !j.Follows(last) {
+				return served + i, fmt.Errorf("farm: job %d: %w", served+i, queue.ValidateJob(j, last))
 			}
 			last = j.Arrival
 			if _, _, err := f.Process(j); err != nil {
@@ -349,8 +349,8 @@ func (f *Farm) LastFree() float64 { return lastFree(f.engines) }
 func Run(k int, cfg queue.Config, disp Dispatcher, jobs []queue.Job) (Result, error) {
 	last := math.Inf(-1)
 	for i, j := range jobs {
-		if err := queue.ValidateJob(j, last); err != nil {
-			return Result{}, fmt.Errorf("farm: job %d: %w", i, err)
+		if !j.Follows(last) {
+			return Result{}, fmt.Errorf("farm: job %d: %w", i, queue.ValidateJob(j, last))
 		}
 		last = j.Arrival
 	}

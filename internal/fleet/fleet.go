@@ -398,8 +398,8 @@ func (c *Coordinator) Run(src stream.Source) (*Report, error) {
 			if !ok || j.Arrival >= epochEnd {
 				break
 			}
-			if err := queue.ValidateJob(j, c.lastArrival); err != nil {
-				return nil, fmt.Errorf("fleet: epoch %d: %w", c.epoch, err)
+			if !j.Follows(c.lastArrival) {
+				return nil, fmt.Errorf("fleet: epoch %d: %w", c.epoch, queue.ValidateJob(j, c.lastArrival))
 			}
 			c.lastArrival = j.Arrival
 			c.epochJobs = append(c.epochJobs, j)

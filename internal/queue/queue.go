@@ -353,7 +353,7 @@ func (e *Engine) flushResidency() {
 // sizes; a job that is not is rejected with ErrNonFinite, ErrOutOfOrder or
 // ErrNegativeSize and leaves the engine untouched.
 func (e *Engine) Process(j Job) (response float64, err error) {
-	if !j.follows(e.lastSeen) {
+	if !j.Follows(e.lastSeen) {
 		return 0, ValidateJob(j, e.lastSeen)
 	}
 	if e.down {
@@ -402,10 +402,11 @@ func (e *Engine) Process(j Job) (response float64, err error) {
 	return response, nil
 }
 
-// follows reports whether j may be the next job after an arrival at last.
-// A NaN anywhere fails its comparison instead of slipping through, and ±Inf
-// fails a bound.
-func (j Job) follows(last float64) bool {
+// Follows reports whether j may be the next job after an arrival at last:
+// ValidateJob's accepting test, small enough to inline into per-job loops,
+// which call ValidateJob only for a job it refuses. A NaN anywhere fails its
+// comparison instead of slipping through, and ±Inf fails a bound.
+func (j Job) Follows(last float64) bool {
 	return j.Arrival >= last && j.Arrival <= math.MaxFloat64 &&
 		j.Size >= 0 && j.Size <= math.MaxFloat64
 }
@@ -416,7 +417,7 @@ func (j Job) follows(last float64) bool {
 // order.
 func ValidateJob(j Job, last float64) error {
 	switch {
-	case j.follows(last):
+	case j.Follows(last):
 		return nil
 	case !j.Finite():
 		return fmt.Errorf("%w: arrival %g, size %g", ErrNonFinite, j.Arrival, j.Size)
