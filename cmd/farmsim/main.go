@@ -276,7 +276,6 @@ func runTraceFarm(sizes []int, traceName string, epochT int, dispatch string, se
 			Trace:        tr,
 			EpochSlots:   epochT,
 			Strategy:     strategy,
-			Predictor:    sleepscale.NewNaivePredictor(), // fresh per size: no state leaks between runs
 			Seed:         seed,
 			Dispatcher:   disp,
 		}
@@ -284,8 +283,11 @@ func runTraceFarm(sizes []int, traceName string, epochT int, dispatch string, se
 			if cfg.Faults, err = fc.buildFaults(k, tr.Duration(), seed); err != nil {
 				return err
 			}
-			cfg.PerServer, cfg.Predictor, cfg.NewPredictor = true, nil, sleepscale.NewNaivePredictor
+			cfg.PerServer, cfg.NewPredictor = true, sleepscale.NewNaivePredictor
 			cfg.Quorum, cfg.Park, cfg.Retry = fc.quorum, fc.park, fc.retry
+		} else {
+			// A fresh predictor per size, so no run inherits the last one's state.
+			cfg.Predictor = sleepscale.NewNaivePredictor()
 		}
 		coord, err := sleepscale.NewFleetCoordinator(cfg)
 		if err != nil {

@@ -60,8 +60,8 @@
 //     calls. Results that alias evaluator storage (Responses) are only
 //     valid until the next Evaluate.
 //   - Every parallel driver — Manager.Select, RunFarm and the sliced mode
-//     of RunFarmSource — executes on one process-wide
-//     persistent worker pool (internal/par): workers start once, park
+//     of RunFarmSource — executes on one process-wide persistent worker
+//     pool (internal/par): workers start once, park
 //     between submissions, pull work from an atomic ticket counter (or own
 //     a fixed index shard with work stealing, keeping each engine on the
 //     same cache-hot worker) and resynchronize through a reusable barrier,
@@ -243,10 +243,10 @@
 //
 // # Fleet coordination
 //
-// Beyond one policy for k clones, the fleet coordinator (internal/fleet,
-// NewFleetCoordinator) owns per-server policy state and runs the §6 epoch
-// cycle fleet-wide with three coordination dimensions the homogeneous
-// runner cannot express:
+// The fleet coordinator (internal/fleet, NewFleetCoordinator) runs the §6
+// epoch cycle over a dispatched farm and owns per-server policy state. Its
+// shared mode applies one policy to k clones; three coordination
+// dimensions go beyond it:
 //
 //   - Per-server policies (FleetConfig.PerServer): each server gets its own
 //     utilization predictor and its own strategy decision per epoch, so a
@@ -270,10 +270,10 @@
 // every dimension off — shared mode — the coordinator reproduces the golden
 // output of the homogeneous farm epoch loop it replaced bit for bit, across
 // dispatchers, seeds and k up to 1,000, and a k = 1 suite pins it to
-// RunSource. Fleet epoch and
-// per-server rollup logs write to the columnar store
-// (WriteFleetEpochLog/WriteFleetServerLog); cmd/farmsim -coordinate
-// (-quorum, -park) drives the coordinator from the command line, and
+// RunSource. Fleet epoch and per-server rollup logs write to the columnar
+// store (WriteFleetEpochLog/WriteFleetServerLog); cmd/farmsim -trace
+// drives the coordinator from the command line (shared mode, or per server
+// with -coordinate, -quorum and -park), and
 // examples/fleet-demo compares baseline/quorum/parked runs over a
 // synthetic email-store day, verifying the quorum invariant on every
 // epoch.

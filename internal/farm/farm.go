@@ -193,11 +193,11 @@ func (f *Farm) Server(i int) *queue.Engine { return f.engines[i] }
 // engines. The fleet coordinator serves every epoch through one such view
 // over its active servers: an ascending prefix while nothing has crashed
 // (parked servers sit past it), an arbitrary subset once crashed servers
-// must be skipped. Because the view is compact and
-// idx ascending, every dispatcher's lowest-index tie break resolves to the
-// lowest surviving parent index: routing through the view is exactly the
-// parent's routing with the excluded servers skipped, on the O(log k) index
-// and the linear arm alike.
+// must be skipped. Because the view is compact and idx ascending, every
+// dispatcher's lowest-index tie break resolves to the lowest surviving
+// parent index: routing through the view is exactly the parent's routing
+// with the excluded servers skipped, on the O(log k) index and the linear
+// arm alike.
 //
 // Pass the previous return value as view to reuse its storage (including the
 // sliced-dispatch scratch, which resizes in place when the subset size

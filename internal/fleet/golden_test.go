@@ -31,7 +31,9 @@ var sharedGoldenCases = []struct {
 func g(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // goldenLines renders every field the golden pins: each epoch record in
-// full, the plan-epoch counts in name order, and the whole-run aggregates.
+// full (the policy as frequency, plan name and phase count — the name fixes
+// the phases of every plan rngStrategy draws), the plan-epoch counts in name
+// order, and the whole-run aggregates.
 func goldenLines(rep *core.RunReport) []string {
 	var out []string
 	for _, e := range rep.Epochs {
